@@ -24,21 +24,22 @@ def run_scheme_ratios():
         model = ValueModel(get_spec(w).value_mix, seed=0, pool_size=512)
         lines = [model.line_words(i * 37) for i in range(256)]
         segs = compare_schemes(lines)
-        rows[w] = tuple(min(8.0 / segs[name], 2.0) for name in SCHEME_NAMES)
+        rows[w] = {name: min(8.0 / segs[name], 2.0) for name in SCHEME_NAMES}
     return rows
 
 
 def test_ablation_scheme_ratios(benchmark):
     rows = benchmark.pedantic(run_scheme_ratios, rounds=1, iterations=1)
     print_header("Ablation: expansion by compression scheme", list(SCHEME_NAMES))
-    for w, vals in rows.items():
-        print_row(w, vals)
-    for w, vals in rows.items():
-        fpc, fvc, selective, zero = vals
+    for w, ratios in rows.items():
+        print_row(w, [ratios[name] for name in SCHEME_NAMES])
+    for w, ratios in rows.items():
         # FPC dominates its zero-only subset and selective (which discards
         # some of FPC's encodings) on every workload's data.
-        assert fpc >= zero - 1e-9, w
-        assert fpc >= selective - 1e-9, w
+        assert ratios["fpc"] >= ratios["zero_only"] - 1e-9, w
+        assert ratios["fpc"] >= ratios["selective"] - 1e-9, w
+        # BDI never expands a line and stays within the 2x ceiling.
+        assert 1.0 <= ratios["bdi"] <= 2.0, w
 
 
 def run_scheme_speedups():

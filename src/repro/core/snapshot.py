@@ -9,9 +9,7 @@ controller state, coherence directory, DRAM/NoC timing state, workload
 cursor state, and all stats — is serialized into a checksummed,
 versioned snapshot file, and a killed run resumes from the last phase
 boundary bit-identically (kill-and-resume equals run-to-completion on
-``result_fingerprint``, under either engine; the snapshot itself is
-engine-neutral because both engines keep the object hierarchy
-authoritative between ``run_events`` calls).
+``result_fingerprint``).
 
 Snapshot file layout (all little-endian)::
 
@@ -202,14 +200,11 @@ class ResourceGuard:
 
 
 def capture_state(system) -> Dict[str, Any]:
-    """The complete, engine-neutral simulator state of one CMPSystem.
+    """The complete simulator state of one CMPSystem.
 
-    Both engines keep the object hierarchy authoritative between
-    ``run_events`` calls (the fast kernel writes its flat arrays back at
-    the end of every call), so pickling the object model — plus the
-    workload cursors, whose generators persist their walk state through
-    ``fill_chunk`` — captures everything, and a snapshot written under
-    one engine restores under the other.
+    Pickling the object model plus the workload generators, which keep
+    their walk state and unread event buffer on the instance, captures
+    everything.
     """
     if system.tracer is not None or system.sampler is not None:
         raise SnapshotError(
@@ -232,12 +227,7 @@ def capture_state(system) -> Dict[str, Any]:
             it.pos % len(it.events) for it in system._generators
         ]
     else:
-        if system._cursors is None:
-            raise SnapshotError(
-                "-",
-                "workload generators are not in cursor mode; cannot snapshot",
-            )
-        state["cursors"] = system._cursors
+        state["generators"] = system._workload_gens
     return state
 
 
@@ -332,8 +322,7 @@ def read_snapshot(path: str) -> Tuple[Dict[str, Any], Dict[str, Any]]:
 def run_key(config, workload: str, seed: int, events: int, warmup: int) -> str:
     """Stable identity of one long run — everything that changes the
     result, nothing that only changes execution.  Reuses the disk
-    cache's key derivation, which strips the observability knobs and the
-    engine selector (a snapshot is valid under either engine)."""
+    cache's key derivation, which strips the observability knobs."""
     from repro.core import diskcache
 
     return diskcache.point_key(config, workload, seed, events, warmup)

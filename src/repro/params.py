@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import ClassVar, Optional
 
 LINE_BYTES = 64
 SEGMENT_BYTES = 8
@@ -242,22 +242,15 @@ class SystemConfig:
     # the JSON output file).  Read-only like trace/metrics: results are
     # bit-identical with attribution on or off.
     attribution: bool = False
-    # Simulation engine: ``"ref"`` is the object-per-line reference
-    # engine (core.hierarchy driven by core.system's event loop);
-    # ``"fast"`` selects the flat-array kernel (repro.core.fastsim),
-    # which is bit-identical by contract (oracle-, golden- and
-    # fuzz-proven).  ``REPRO_ENGINE`` overrides this field.
-    engine: str = "ref"
+    # The simulator has a single engine.  A class constant, not a field:
+    # it stays out of asdict/replace and out of every cache key.
+    engine: ClassVar[str] = "ref"
 
     def __post_init__(self) -> None:
         if self.audit_interval <= 0:
             raise ValueError("audit_interval must be positive")
         if self.metrics_interval <= 0:
             raise ValueError("metrics_interval must be positive")
-        if self.engine not in ("ref", "fast"):
-            raise ValueError(
-                f"unknown engine {self.engine!r} (expected 'ref' or 'fast')"
-            )
 
     @property
     def cache_compression(self) -> bool:
@@ -355,5 +348,4 @@ def config_from_dict(data: dict) -> SystemConfig:
         metrics=data.get("metrics", False),
         metrics_interval=data.get("metrics_interval", 5000),
         attribution=data.get("attribution", False),
-        engine=data.get("engine", "ref"),
     )

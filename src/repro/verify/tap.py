@@ -108,11 +108,10 @@ class OpTap:
         h._issue_l1_prefetch = issue_l1_prefetch
         h._issue_l2_prefetch = issue_l2_prefetch
         h.reset_stats = reset_stats
-        # Marker for the fast engine (repro.core.fastsim): it bypasses
-        # the wrapped methods, so it detects this tap via ``_tap_ops``
-        # and appends equivalent records to the same list natively.  An
-        # unknown wrapper (no marker) makes it fall back to the
-        # reference loop instead.
+        # The record list, exposed to the hierarchy: an MSHR-coalesced
+        # fetch happens inside ``_fetch_line``, below every wrapped
+        # method, so the hierarchy appends its ``("C", addr)`` record
+        # here itself.
         h._tap_ops = ops
         self._installed = True
         return self

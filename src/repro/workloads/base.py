@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Tuple
 
 IFETCH, LOAD, STORE = 0, 1, 2
 
@@ -49,6 +49,11 @@ _PRIVATE_BASE = 3 << 40
 _PRIVATE_STRIDE = (1 << 36) + 32452843  # per-core private region spacing
 
 _INSTR_PER_LINE = 16  # 64-byte line / 4-byte instructions
+
+#: Events drawn per refill of a generator's buffer.  Small, so a short
+#: run draws little past its last event; large enough to amortise the
+#: local binding in ``fill_chunk``.
+CHUNK_EVENTS = 1024
 
 
 @dataclass(frozen=True)
@@ -178,18 +183,38 @@ class TraceGenerator:
         self._stride_choices = [s for s, _ in spec.stream_strides]
         self._stride_weights = [w for _, w in spec.stream_strides]
         self._streams = [self._seed_stream(_StreamState()) for _ in range(spec.streams_per_core)]
-        # Events drawn but not yet emitted by fill_chunk (a chunk boundary
-        # can land mid-way through a step's pending instruction fetches).
-        self._chunk_pending: List[Tuple[int, int, int]] = []
+        # Drawn but not yet read events, the next one *last*: events()
+        # pops from the end, so the list only ever holds the unconsumed
+        # tail and pickles (simulator snapshots) as just that.
+        self._buffer: List[Tuple[int, int, int]] = []
 
     # -- public -------------------------------------------------------------
 
     def events(self) -> Iterator[Tuple[int, int, int]]:
         """Yield (instr_gap, kind, line_addr) forever.
 
-        The loop body runs once per trace event, so the spec scalars and
-        PC-walk state are held in locals; the RNG call sequence is
-        identical to the straightforward formulation.
+        Reads the buffer :meth:`fill_chunk` refills ``CHUNK_EVENTS`` at a
+        time.  All stream state lives on the instance, so a generator
+        pickled between two events and restored continues bit-identically
+        through a fresh ``events()`` iterator.
+        """
+        buffer = self._buffer
+        pop = buffer.pop
+        while True:
+            while buffer:
+                yield pop()
+            self.fill_chunk(buffer, CHUNK_EVENTS)
+            buffer.reverse()
+
+    def fill_chunk(self, out: List[Tuple[int, int, int]], n: int) -> None:
+        """Append whole steps, in emission order, until ``out`` grew by at
+        least ``n`` events.
+
+        A step is one data access followed by the instruction fetches of
+        the code lines it entered (newest first).  The step never splits,
+        so the stream is the same whatever sizes the refills come in.  The
+        loop body runs once per step, so the spec scalars and PC-walk state
+        are held in locals and written back at the end.
         """
         rng = self.rng
         spec = self.spec
@@ -201,7 +226,6 @@ class TraceGenerator:
         i_lines = self.i_lines
         mean = spec.instr_per_event
         rate = 1.0 / mean if mean > 1 else 0.0
-        # _data_address, inlined below with the same RNG call sequence.
         stride_fraction = spec.stride_fraction
         stride_or_hot = spec.stride_fraction + spec.hot_fraction
         hot_or_pointer = stride_or_hot + spec.pointer_fraction
@@ -217,30 +241,29 @@ class TraceGenerator:
         stream_address = self._stream_address
         pc_line = self._pc_line
         instr_into_line = self._instr_into_line
-        pending: List[Tuple[int, int, int]] = []
-        append = pending.append
-        pop = pending.pop
-        while True:
-            while pending:
-                yield pop()
+        append = out.append
+        fetches: List[Tuple[int, int, int]] = []
+        fetch = fetches.append
+        target = len(out) + n
+        while len(out) < target:
             # Geometric-ish gap with the configured mean, at least 1.
             gap = 1 + int(expovariate(rate)) if rate else 1
-            # Instruction-side: advance the PC, jump occasionally, emit an
-            # IFETCH for every new code line entered.
+            # Instruction-side: advance the PC, jump occasionally, fetch
+            # every new code line entered.
             if random_() < jump_prob:
                 pc_line = int(i_lines * (random_() ** i_locality))
                 instr_into_line = 0
-                append((0, IFETCH, _I_BASE + pc_line))
+                fetch((0, IFETCH, _I_BASE + pc_line))
             instr_into_line += gap
             crossed = instr_into_line // _INSTR_PER_LINE
             if crossed:
                 instr_into_line %= _INSTR_PER_LINE
-                # Emit at most 2 fetch events per gap; a long sequential run
+                # At most 2 fetch events per gap; a long sequential run
                 # touches each line once, and the gap rarely spans more.
                 for i in range(min(crossed, 2)):
                     pc_line = (pc_line + 1) % i_lines
-                    append((0, IFETCH, _I_BASE + pc_line))
-            # Data-side: one access per step (_data_address, inlined).
+                    fetch((0, IFETCH, _I_BASE + pc_line))
+            # Data-side: one access per step.
             r = random_()
             if r < stride_fraction:
                 addr = stream_address()
@@ -254,174 +277,16 @@ class TraceGenerator:
                 addr = _SHARED_BASE + int(shared_lines * (random_() ** locality))
             else:
                 addr = private_base + int(private_lines * (random_() ** locality))
-            kind = STORE if random_() < store_fraction else LOAD
-            yield (gap, kind, addr)
-
-    def fill_chunk(
-        self,
-        gaps: List[int],
-        kinds: List[int],
-        addrs: List[int],
-        n: int,
-    ) -> None:
-        """Append exactly ``n`` events to three parallel lists.
-
-        This is the fast engine's vectorized event source: one call
-        amortises the spec/RNG local binding over thousands of events and
-        hands the kernel plain lists instead of a generator to resume per
-        event.  The loop body, the RNG call sequence, and the emission
-        order (each step's data event first, then its pending instruction
-        fetches in LIFO order) are identical to :meth:`events` — the
-        engine-equivalence suite pins this bit-exactly.
-
-        Unlike :meth:`events`, the PC-walk state is persisted back to the
-        instance (and a chunk boundary mid-step parks the unemitted
-        fetches in ``_chunk_pending``), so one generator must be consumed
-        *either* through ``events()`` *or* through ``fill_chunk`` — never
-        both; the two would share the RNG but not the walk state.
-        """
-        rng = self.rng
-        spec = self.spec
-        random_ = rng.random
-        expovariate = rng.expovariate
-        jump_prob = spec.i_jump_prob
-        i_locality = spec.i_locality
-        store_fraction = spec.store_fraction
-        i_lines = self.i_lines
-        mean = spec.instr_per_event
-        rate = 1.0 / mean if mean > 1 else 0.0
-        stride_fraction = spec.stride_fraction
-        stride_or_hot = spec.stride_fraction + spec.hot_fraction
-        hot_or_pointer = stride_or_hot + spec.pointer_fraction
-        shared_fraction = spec.shared_fraction
-        locality = spec.locality
-        shared_lines = self.shared_lines
-        private_lines = self.private_lines
-        private_base = self.private_base
-        hot_lines = self.hot_lines
-        heap = self.heap
-        chase_node = self._chase_node
-        randrange = rng.randrange
-        stream_address = self._stream_address
-        pc_line = self._pc_line
-        instr_into_line = self._instr_into_line
-        pending = self._chunk_pending
-        append = pending.append
-        pop = pending.pop
-        g_app = gaps.append
-        k_app = kinds.append
-        a_app = addrs.append
-        count = 0
-        while pending and count < n:
-            pg, pk, pa = pop()
-            g_app(pg)
-            k_app(pk)
-            a_app(pa)
-            count += 1
-        while count < n:
-            gap = 1 + int(expovariate(rate)) if rate else 1
-            if random_() < jump_prob:
-                pc_line = int(i_lines * (random_() ** i_locality))
-                instr_into_line = 0
-                append((0, IFETCH, _I_BASE + pc_line))
-            instr_into_line += gap
-            crossed = instr_into_line // _INSTR_PER_LINE
-            if crossed:
-                instr_into_line %= _INSTR_PER_LINE
-                for i in range(min(crossed, 2)):
-                    pc_line = (pc_line + 1) % i_lines
-                    append((0, IFETCH, _I_BASE + pc_line))
-            r = random_()
-            if r < stride_fraction:
-                addr = stream_address()
-            elif r < stride_or_hot:
-                addr = private_base + randrange(hot_lines)
-            elif r < hot_or_pointer:
-                node = chase_node
-                chase_node = heap.successor(node, randrange(heap.out_degree))
-                addr = heap.node_line(node) + randrange(heap.node_lines)
-            elif random_() < shared_fraction:
-                addr = _SHARED_BASE + int(shared_lines * (random_() ** locality))
-            else:
-                addr = private_base + int(private_lines * (random_() ** locality))
-            g_app(gap)
-            k_app(STORE if random_() < store_fraction else LOAD)
-            a_app(addr)
-            count += 1
-            while pending and count < n:
-                pg, pk, pa = pop()
-                g_app(pg)
-                k_app(pk)
-                a_app(pa)
-                count += 1
+            append((gap, STORE if random_() < store_fraction else LOAD, addr))
+            if fetches:
+                fetches.reverse()
+                out.extend(fetches)
+                fetches.clear()
         self._pc_line = pc_line
         self._instr_into_line = instr_into_line
         self._chase_node = chase_node
 
-    def cursor_state(self) -> dict:
-        """The generator's complete resumable cursor as plain data.
-
-        Only meaningful for generators consumed through
-        :meth:`fill_chunk` (chunked mode persists the PC-walk state back
-        to the instance; ``events()`` keeps it in generator locals,
-        which no serialization can reach).  Together with the chunk
-        buffer tail held by the consuming cursor, this is everything a
-        snapshot needs to continue the stream bit-identically — the
-        generator never materializes more than one chunk of trace.
-        """
-        return {
-            "rng": self.rng.getstate(),
-            "pc_line": self._pc_line,
-            "instr_into_line": self._instr_into_line,
-            "chase_node": self._chase_node,
-            "streams": [(s.pos, s.stride, s.remaining) for s in self._streams],
-            "chunk_pending": list(self._chunk_pending),
-        }
-
-    def restore_cursor(self, state: dict) -> None:
-        """Inverse of :meth:`cursor_state`; the generator must have been
-        constructed with the same (spec, core_id, n_cores, footprints,
-        seed, heap) for the restored stream to continue correctly."""
-        self.rng.setstate(state["rng"])
-        self._pc_line = state["pc_line"]
-        self._instr_into_line = state["instr_into_line"]
-        self._chase_node = state["chase_node"]
-        if len(state["streams"]) != len(self._streams):
-            raise ValueError(
-                f"cursor has {len(state['streams'])} stream(s), "
-                f"generator has {len(self._streams)}"
-            )
-        for stream, (pos, stride, remaining) in zip(self._streams, state["streams"]):
-            stream.pos = pos
-            stream.stride = stride
-            stream.remaining = remaining
-        self._chunk_pending = [tuple(e) for e in state["chunk_pending"]]
-
     # -- internals ------------------------------------------------------------
-
-    def _draw_gap(self) -> int:
-        """Geometric-ish gap with the configured mean, at least 1."""
-        mean = self.spec.instr_per_event
-        return 1 + int(self.rng.expovariate(1.0 / mean)) if mean > 1 else 1
-
-    def _data_address(self) -> int:
-        rng = self.rng
-        spec = self.spec
-        r = rng.random()
-        if r < spec.stride_fraction:
-            return self._stream_address()
-        if r < spec.stride_fraction + spec.hot_fraction:
-            return self.private_base + rng.randrange(self.hot_lines)
-        if r < spec.stride_fraction + spec.hot_fraction + spec.pointer_fraction:
-            heap = self.heap
-            node = self._chase_node
-            self._chase_node = heap.successor(node, rng.randrange(heap.out_degree))
-            return heap.node_line(node) + rng.randrange(heap.node_lines)
-        if rng.random() < spec.shared_fraction:
-            idx = int(self.shared_lines * (rng.random() ** spec.locality))
-            return _SHARED_BASE + idx
-        idx = int(self.private_lines * (rng.random() ** spec.locality))
-        return self.private_base + idx
 
     def _stream_address(self) -> int:
         stream = self._streams[self.rng.randrange(len(self._streams))]

@@ -8,16 +8,10 @@ number the benches report is a ratio of such runs.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 
 from repro.core.experiment import CONFIG_FEATURES, make_config
 from repro.core.system import CMPSystem
-
-#: Both simulation engines must honour the determinism contract; they
-#: are also bit-identical to each other (tests/test_engine_equivalence.py).
-ENGINES = ("ref", "fast")
 
 
 def fingerprint(result):
@@ -35,19 +29,17 @@ def fingerprint(result):
     )
 
 
-@pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("key", sorted(CONFIG_FEATURES))
-def test_every_config_is_deterministic(key, engine):
-    cfg = replace(make_config(key, n_cores=2, scale=16), engine=engine)
+def test_every_config_is_deterministic(key):
+    cfg = make_config(key, n_cores=2, scale=16)
     a = CMPSystem(cfg, "zeus", seed=3).run(400, warmup_events=200)
     b = CMPSystem(cfg, "zeus", seed=3).run(400, warmup_events=200)
     assert fingerprint(a) == fingerprint(b)
 
 
-@pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("workload", ["oltp", "art"])
-def test_workloads_deterministic_under_full_features(workload, engine):
-    cfg = replace(make_config("adaptive_compr", n_cores=2, scale=16), engine=engine)
+def test_workloads_deterministic_under_full_features(workload):
+    cfg = make_config("adaptive_compr", n_cores=2, scale=16)
     a = CMPSystem(cfg, workload, seed=9).run(400, warmup_events=200)
     b = CMPSystem(cfg, workload, seed=9).run(400, warmup_events=200)
     assert fingerprint(a) == fingerprint(b)

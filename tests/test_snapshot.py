@@ -3,19 +3,18 @@
 The contract under test (see :mod:`repro.core.snapshot`): a phased run
 that is killed or guard-truncated at a phase boundary and later resumed
 must produce the *bit-identical* result of the same phased run executed
-uninterrupted — under either engine, and across engines (a snapshot
-written by the fast engine restores under the reference engine and vice
-versa).  Damaged snapshots are quarantined and restore falls back, never
-surfacing a raw exception.
+uninterrupted.  Damaged snapshots are quarantined and restore falls back,
+never surfacing a raw exception.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import pickle
 import subprocess
 import sys
-from dataclasses import replace
+import types
 from pathlib import Path
 
 import pytest
@@ -34,13 +33,9 @@ def snap_env(monkeypatch, tmp_path):
     root = tmp_path / "snaps"
     monkeypatch.setenv(snap.ENV_DIR, str(root))
     for var in (snap.ENV_INTERVAL, snap.ENV_RESUME, snap.ENV_DEADLINE,
-                snap.ENV_MEM_LIMIT, "REPRO_ENGINE", "REPRO_FAULTS"):
+                snap.ENV_MEM_LIMIT, "REPRO_FAULTS"):
         monkeypatch.delenv(var, raising=False)
     return root
-
-
-def _config(engine="ref"):
-    return replace(make_tiny_system(), engine=engine)
 
 
 def _run(config, *, resume=None):
@@ -63,16 +58,15 @@ def _run_to_completion(config, monkeypatch, max_passes=12):
 
 class TestPhasedIdentity:
     def test_huge_interval_equals_plain(self, snap_env, monkeypatch):
-        cfg = _config()
+        cfg = make_tiny_system()
         _, plain = _run(cfg, resume=False)
         monkeypatch.setenv(snap.ENV_INTERVAL, str(10**9))
         _, phased = _run(cfg)
         assert result_fingerprint(plain) == result_fingerprint(phased)
         assert not list(snap_env.glob("*.rpsn"))  # discarded on completion
 
-    @pytest.mark.parametrize("engine", ["ref", "fast"])
-    def test_truncate_then_resume_is_noop(self, snap_env, monkeypatch, engine):
-        cfg = _config(engine)
+    def test_truncate_then_resume_is_noop(self, snap_env, monkeypatch):
+        cfg = make_tiny_system()
         monkeypatch.setenv(snap.ENV_INTERVAL, str(INTERVAL))
         _, expected = _run(cfg)  # uninterrupted phased run
         assert not expected.extra.get("truncated")
@@ -88,24 +82,10 @@ class TestPhasedIdentity:
         assert system.resumed_from_phase == 1
         assert result_fingerprint(resumed) == result_fingerprint(expected)
 
-    @pytest.mark.parametrize("kill_engine,resume_engine",
-                             [("fast", "ref"), ("ref", "fast")])
-    def test_cross_engine_resume(self, snap_env, monkeypatch,
-                                 kill_engine, resume_engine):
-        monkeypatch.setenv(snap.ENV_INTERVAL, str(INTERVAL))
-        _, expected = _run(_config("ref"))
-
-        monkeypatch.setenv(snap.ENV_DEADLINE, "0")
-        _run(_config(kill_engine))
-        monkeypatch.delenv(snap.ENV_DEADLINE)
-        system, resumed = _run(_config(resume_engine))
-        assert system.resumed_from_phase is not None
-        assert result_fingerprint(resumed) == result_fingerprint(expected)
-
     def test_interrupt_every_boundary(self, snap_env, monkeypatch):
         """The worst case: one kill per phase boundary, stitched back
         together phase by phase."""
-        cfg = _config("fast")
+        cfg = make_tiny_system()
         monkeypatch.setenv(snap.ENV_INTERVAL, str(INTERVAL))
         _, expected = _run(cfg)
         monkeypatch.setenv(snap.ENV_DEADLINE, "0")
@@ -115,7 +95,7 @@ class TestPhasedIdentity:
     def test_trace_replay_resumes(self, snap_env, monkeypatch):
         from repro.trace.io import record_trace
 
-        cfg = _config()
+        cfg = make_tiny_system()
         pack = record_trace("oltp", n_cores=cfg.n_cores, events_per_core=500,
                             seed=3, l2_lines=cfg.l2.n_lines,
                             l1i_lines=cfg.l1i.n_lines)
@@ -148,7 +128,7 @@ class TestRobustnessFallbacks:
         monkeypatch.delenv(snap.ENV_DEADLINE)
 
     def test_corrupt_newest_falls_back_to_previous(self, snap_env, monkeypatch):
-        cfg = _config()
+        cfg = make_tiny_system()
         monkeypatch.setenv(snap.ENV_INTERVAL, str(INTERVAL))
         _, expected = _run(cfg)
         self._truncate_twice(cfg, monkeypatch)
@@ -166,7 +146,7 @@ class TestRobustnessFallbacks:
         assert [p.name for p in quarantined] == [newest.name]
 
     def test_all_corrupt_degrades_to_clean_start(self, snap_env, monkeypatch):
-        cfg = _config()
+        cfg = make_tiny_system()
         monkeypatch.setenv(snap.ENV_INTERVAL, str(INTERVAL))
         _, expected = _run(cfg)
         self._truncate_twice(cfg, monkeypatch)
@@ -196,8 +176,6 @@ class TestRobustnessFallbacks:
         path = str(tmp_path / "x.rpsn")
         meta = {"run_key": "k", "phase": 1, "warmup_done": 0,
                 "measure_done": 0, "interval": 10}
-        import pickle
-
         snap.write_snapshot(path, meta, pickle.dumps({"ok": 1}))
         got_meta, state = snap.read_snapshot(path)
         assert state == {"ok": 1} and got_meta["phase"] == 1
@@ -210,7 +188,7 @@ class TestRobustnessFallbacks:
     def test_diskfull_fault_does_not_kill_the_run(self, snap_env, monkeypatch):
         from repro import faults
 
-        cfg = _config()
+        cfg = make_tiny_system()
         monkeypatch.setenv(snap.ENV_INTERVAL, str(INTERVAL))
         _, expected = _run(cfg)
         monkeypatch.setenv("REPRO_FAULTS", "diskfull@*")
@@ -225,7 +203,7 @@ class TestRobustnessFallbacks:
         assert not list(snap_env.glob("*.rpsn"))  # nothing ever stored
 
     def test_mem_limit_guard_truncates(self, snap_env, monkeypatch):
-        cfg = _config()
+        cfg = make_tiny_system()
         monkeypatch.setenv(snap.ENV_INTERVAL, str(INTERVAL))
         monkeypatch.setenv(snap.ENV_MEM_LIMIT, "1")  # any process exceeds 1 MiB
         _, partial = _run(cfg)
@@ -243,15 +221,60 @@ class TestRobustnessFallbacks:
         with pytest.raises(ValueError, match="REPRO_DEADLINE"):
             snap.ResourceGuard()
 
-    def test_raw_generator_mode_refuses_snapshots(self, snap_env, monkeypatch):
-        """A system that already consumed events in raw-generator mode
-        cannot switch to serializable cursors mid-run."""
-        cfg = _config("ref")
-        system = CMPSystem(cfg, "oltp", seed=3)
-        system._run_events(50)
+    def test_snapshots_after_events_already_consumed(self, snap_env, monkeypatch):
+        """Workload generators keep all stream state on the instance, so
+        a system that already ran events snapshots and resumes like a
+        fresh one."""
+        def prerun_system():
+            system = CMPSystem(make_tiny_system(), "oltp", seed=3)
+            system._run_events(50)
+            return system
+
+        def run(system):
+            return system.run(EVENTS, warmup_events=WARMUP, config_name="t")
+
         monkeypatch.setenv(snap.ENV_INTERVAL, str(INTERVAL))
-        with pytest.raises(ValueError, match="cursor"):
-            system.run(EVENTS, warmup_events=WARMUP)
+        expected = run(prerun_system())
+        monkeypatch.setenv(snap.ENV_DEADLINE, "0")
+        assert run(prerun_system()).extra.get("truncated") == 1.0
+        monkeypatch.delenv(snap.ENV_DEADLINE)
+        system = CMPSystem(make_tiny_system(), "oltp", seed=3)
+        resumed = run(system)
+        assert system.resumed_from_phase == 1
+        assert result_fingerprint(resumed) == result_fingerprint(expected)
+
+    def test_payload_naming_a_missing_class_starts_clean(self, snap_env,
+                                                         monkeypatch):
+        """A checksum-valid snapshot whose payload references a class
+        that no longer exists (say, one written before a module was
+        removed) raises SnapshotError, is quarantined, and the run
+        starts clean."""
+        cfg = make_tiny_system()
+        monkeypatch.setenv(snap.ENV_INTERVAL, str(INTERVAL))
+        _, expected = _run(cfg)
+
+        # Pickle an instance of a class from a module that is importable
+        # only while the payload is written.
+        retired = types.ModuleType("repro_retired_module")
+        retired.Gone = type("Gone", (), {"__module__": retired.__name__})
+        monkeypatch.setitem(sys.modules, retired.__name__, retired)
+        payload = pickle.dumps({"generators": [retired.Gone()]})
+        monkeypatch.delitem(sys.modules, retired.__name__)
+
+        key = snap.run_key(cfg, "oltp", 3, EVENTS, WARMUP)
+        path = snap.SnapshotManager(key, str(snap_env)).path_for(1)
+        snap.write_snapshot(path, {
+            "run_key": key, "phase": 1, "warmup_done": INTERVAL,
+            "measure_done": 0, "interval": INTERVAL,
+        }, payload)
+        with pytest.raises(snap.SnapshotError, match="does not unpickle"):
+            snap.read_snapshot(path)
+
+        system, resumed = _run(cfg)
+        assert system.resumed_from_phase is None  # clean start
+        assert result_fingerprint(resumed) == result_fingerprint(expected)
+        quarantined = list((snap_env / snap.QUARANTINE_DIR).glob("*.rpsn"))
+        assert [p.name for p in quarantined] == [Path(path).name]
 
 
 class TestKillAndResumeCLI:
@@ -263,20 +286,17 @@ class TestKillAndResumeCLI:
             "--warmup", "300", "--scale", "16", "--cores", "2",
             "--seed", "3", "--snapshot-interval", "150", "--json"]
 
-    def _cli(self, tmp_path, *, faults=None, engine=None, resume=False,
-             deadline=None):
+    def _cli(self, tmp_path, *, faults=None, resume=False, deadline=None):
         env = dict(os.environ)
         src = str(Path(__file__).resolve().parents[1] / "src")
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
         env["REPRO_SNAPSHOT_DIR"] = str(tmp_path / "snaps")
-        for var in ("REPRO_FAULTS", "REPRO_ENGINE", "REPRO_DEADLINE",
+        for var in ("REPRO_FAULTS", "REPRO_DEADLINE",
                     "REPRO_MEM_LIMIT", "REPRO_RESUME_SNAPSHOT",
                     "REPRO_SNAPSHOT_INTERVAL", "REPRO_TELEMETRY"):
             env.pop(var, None)
         if faults:
             env["REPRO_FAULTS"] = faults
-        if engine:
-            env["REPRO_ENGINE"] = engine
         if deadline is not None:
             env["REPRO_DEADLINE"] = deadline
         args = list(self.ARGS) + (["--resume-snapshot"] if resume else [])
@@ -292,16 +312,13 @@ class TestKillAndResumeCLI:
         assert proc.returncode == 0, proc.stderr
         return proc.stdout
 
-    @pytest.mark.parametrize("kill_engine,resume_engine",
-                             [("ref", "ref"), ("fast", "fast"), ("fast", "ref")])
-    def test_kill_resume_bit_identical(self, tmp_path, uninterrupted_json,
-                                       kill_engine, resume_engine):
-        killed = self._cli(tmp_path, faults="snapkill@2", engine=kill_engine)
+    def test_kill_resume_bit_identical(self, tmp_path, uninterrupted_json):
+        killed = self._cli(tmp_path, faults="snapkill@2")
         assert killed.returncode == 137, (killed.stdout, killed.stderr)
         assert list((tmp_path / "snaps").glob("*.rpsn")), \
             "killed run must leave snapshots"
 
-        resumed = self._cli(tmp_path, engine=resume_engine, resume=True)
+        resumed = self._cli(tmp_path, resume=True)
         assert resumed.returncode == 0, resumed.stderr
         assert json.loads(resumed.stdout) == json.loads(uninterrupted_json)
         assert not list((tmp_path / "snaps").glob("*.rpsn")), \

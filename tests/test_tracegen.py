@@ -6,8 +6,9 @@ import itertools
 
 import pytest
 
+from repro.workloads import base
 from repro.workloads.base import IFETCH, LOAD, STORE, TraceGenerator, WorkloadSpec
-from repro.workloads.registry import WORKLOADS, get_spec
+from repro.workloads.registry import WORKLOADS, all_names, get_spec
 
 
 def take(gen, n):
@@ -31,6 +32,21 @@ class TestDeterminism:
 
     def test_different_cores_differ(self):
         assert take(make_gen(core=0), 2000) != take(make_gen(core=1), 2000)
+
+    def test_stream_independent_of_refill_size(self, monkeypatch):
+        """events() refills its buffer CHUNK_EVENTS at a time; the stream
+        must not depend on that size, for any registered workload."""
+        n = 3000
+        for name in sorted(all_names()):
+            streams = {}
+            for chunk in (1, 7, 1024):
+                monkeypatch.setattr(base, "CHUNK_EVENTS", chunk)
+                streams[chunk] = take(make_gen(name, core=3, seed=5), n)
+            assert streams[1] == streams[7] == streams[1024], name
+            # One refill large enough for the whole stream agrees too.
+            whole = []
+            make_gen(name, core=3, seed=5).fill_chunk(whole, n)
+            assert whole[:n] == streams[1024], name
 
 
 class TestEventShape:
