@@ -56,7 +56,6 @@ from repro.report import Table, bar_chart, results_to_csv, results_to_json
 from repro.obs import AuditViolation, Auditor, Violation, audit_hierarchy
 from repro.core.bottleneck import CycleBreakdown, analyze
 from repro.core.sweep import Sweep, SweepResults
-from repro.core.validate import validate_hierarchy
 from repro.workloads.custom import WorkloadBuilder, derive, register
 
 __version__ = "1.0.0"
@@ -105,7 +104,6 @@ __all__ = [
     "analyze",
     "Sweep",
     "SweepResults",
-    "validate_hierarchy",
     "WorkloadBuilder",
     "derive",
     "register",

@@ -268,8 +268,6 @@ def cmd_table5(args) -> int:
 
 def cmd_matrix(args) -> int:
     """Rank every prefetcher x compression pair by EQ 5 interaction."""
-    import os
-
     from repro.report.matrix import PREFETCHERS, SCHEMES, run_matrix
 
     workloads = args.workloads.split(",") if args.workloads else all_names()
@@ -282,10 +280,6 @@ def cmd_matrix(args) -> int:
         bandwidth_gbs=args.bandwidth or None,
         infinite_bandwidth=args.bandwidth == 0,
     )
-    if args.attribution:
-        # The flag's whole point is annotation; an ambient
-        # REPRO_ATTRIBUTION=0 must not silently blank the shares.
-        os.environ.pop("REPRO_ATTRIBUTION", None)
     # --verbose keeps the legacy one-line-per-simulation log; otherwise
     # a live progress bar renders when stderr is a terminal.
     if args.verbose:
@@ -343,7 +337,6 @@ def cmd_matrix(args) -> int:
 
 def cmd_why(args) -> int:
     """Run one point with causal attribution on; print the why table."""
-    import os
     from dataclasses import replace
 
     cfg = make_config(
@@ -354,10 +347,6 @@ def cmd_why(args) -> int:
         infinite_bandwidth=args.bandwidth == 0,
     )
     cfg = replace(cfg, attribution=True)
-    # The command's whole point is attribution; an ambient
-    # REPRO_ATTRIBUTION=0 must not turn it off, and a path value must
-    # not double-write.
-    os.environ.pop("REPRO_ATTRIBUTION", None)
     system = CMPSystem(cfg, args.workload, seed=args.seed)
     warmup = args.warmup if args.warmup is not None else args.events
     result = system.run(args.events, warmup_events=warmup, config_name=args.config)
@@ -383,13 +372,10 @@ def cmd_why(args) -> int:
 def cmd_figure8(args) -> int:
     """Figure 8's four-run miss classification, per workload; with
     ``--attribution``, also the measured-vs-estimated delta."""
-    import os
     from dataclasses import replace
 
     from repro.core.missclass import classify_misses
 
-    if args.attribution:
-        os.environ.pop("REPRO_ATTRIBUTION", None)
     workloads = args.workloads.split(",") if args.workloads else all_names()
     warmup = args.warmup if args.warmup is not None else args.events
     for workload in workloads:
@@ -495,11 +481,6 @@ def cmd_audit(args) -> int:
         infinite_bandwidth=args.bandwidth == 0,
     )
     cfg = replace(cfg, audit=True, audit_interval=args.interval)
-    # The command's whole point is auditing; an ambient REPRO_AUDIT=0
-    # must not silently turn it into a plain run.
-    import os
-
-    os.environ.pop("REPRO_AUDIT", None)
     system = CMPSystem(cfg, args.workload, seed=args.seed)
     warmup = args.warmup if args.warmup is not None else args.events
     try:
@@ -574,7 +555,6 @@ def cmd_telemetry(args) -> int:
 
 def cmd_trace(args) -> int:
     """Run one point with event tracing on; export Perfetto/Chrome JSON."""
-    import os
     from dataclasses import replace
 
     from repro.obs.trace import validate_trace
@@ -587,9 +567,6 @@ def cmd_trace(args) -> int:
         infinite_bandwidth=args.bandwidth == 0,
     )
     cfg = replace(cfg, trace=True)
-    # The command's whole point is tracing; an ambient REPRO_TRACE=0 must
-    # not turn it off, and a path value must not double-write.
-    os.environ.pop("REPRO_TRACE", None)
     system = CMPSystem(cfg, args.workload, seed=args.seed)
     if args.limit is not None:
         system.tracer.limit = max(args.limit, 1)
@@ -610,7 +587,6 @@ def cmd_trace(args) -> int:
 
 def cmd_metrics(args) -> int:
     """Run one point with interval metrics on; export and chart the series."""
-    import os
     from dataclasses import replace
 
     from repro.report.charts import timeseries_chart
@@ -623,8 +599,6 @@ def cmd_metrics(args) -> int:
         infinite_bandwidth=args.bandwidth == 0,
     )
     cfg = replace(cfg, metrics=True, metrics_interval=args.interval)
-    os.environ.pop("REPRO_METRICS", None)
-    os.environ.pop("REPRO_METRICS_INTERVAL", None)
     system = CMPSystem(cfg, args.workload, seed=args.seed)
     warmup = args.warmup if args.warmup is not None else args.events
     system.run(args.events, warmup_events=warmup, config_name=args.config)

@@ -22,7 +22,7 @@ from repro.core.diskcache import DiskCache
 from repro.core.runner import ParallelRunner, PointError
 from repro.core.sweep import Sweep, SweepResults
 from repro.core.bottleneck import CycleBreakdown, analyze
-from repro.core.validate import validate_hierarchy
+from repro.obs.audit import audit_hierarchy
 
 __all__ = [
     "CMPSystem",
@@ -48,5 +48,5 @@ __all__ = [
     "SweepResults",
     "CycleBreakdown",
     "analyze",
-    "validate_hierarchy",
+    "audit_hierarchy",
 ]

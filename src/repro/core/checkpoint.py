@@ -37,6 +37,7 @@ import sys
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, Optional
 
+from repro import knobs
 from repro.core.results import SimulationResult
 from repro.obs import telemetry as _telemetry
 from repro.report.export import (
@@ -52,7 +53,7 @@ DEFAULT_DIR = ".repro_sweep"
 
 
 def default_journal_dir() -> str:
-    return os.environ.get(ENV_DIR) or DEFAULT_DIR
+    return knobs.text(ENV_DIR, DEFAULT_DIR)
 
 
 def _stable_hash(payload: Any) -> str:

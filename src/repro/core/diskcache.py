@@ -42,7 +42,7 @@ import time
 from dataclasses import asdict
 from typing import Dict, Optional
 
-from repro import faults
+from repro import faults, knobs
 from repro.core.results import SimulationResult
 from repro.obs import telemetry as _telemetry
 from repro.params import SystemConfig
@@ -69,11 +69,11 @@ STALE_TMP_S = 15 * 60
 
 def cache_enabled() -> bool:
     """The disk cache is on unless ``REPRO_CACHE=0``."""
-    return os.environ.get("REPRO_CACHE", "1") != "0"
+    return knobs.text("REPRO_CACHE", "1") != "0"
 
 
 def default_cache_dir() -> str:
-    return os.environ.get("REPRO_CACHE_DIR") or DEFAULT_CACHE_DIR
+    return knobs.text("REPRO_CACHE_DIR", DEFAULT_CACHE_DIR)
 
 
 def point_key(

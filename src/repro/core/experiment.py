@@ -25,10 +25,10 @@ Long-run durability knobs (``REPRO_SNAPSHOT_INTERVAL``,
 
 from __future__ import annotations
 
-import os
 import time
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro import knobs
 from repro.core import diskcache
 from repro.core.results import SimulationResult
 from repro.core.system import CMPSystem
@@ -48,25 +48,20 @@ CONFIG_FEATURES: Dict[str, Dict[str, bool]] = {
 }
 
 
-def env_int(name: str, default: int) -> int:
-    value = os.environ.get(name)
-    return int(value) if value else default
-
-
 def default_events() -> int:
-    return env_int("REPRO_EVENTS", 20_000)
+    return knobs.integer("REPRO_EVENTS", 20_000, minimum=1)
 
 
 def default_warmup() -> int:
-    return env_int("REPRO_WARMUP", default_events())
+    return knobs.integer("REPRO_WARMUP", default_events(), minimum=0)
 
 
 def default_seeds() -> int:
-    return env_int("REPRO_SEEDS", 1)
+    return knobs.integer("REPRO_SEEDS", 1, minimum=1)
 
 
 def default_scale() -> int:
-    return env_int("REPRO_SCALE", 4)
+    return knobs.integer("REPRO_SCALE", 4, minimum=1)
 
 
 def make_config(
@@ -100,7 +95,7 @@ _CACHE: Dict[Tuple, SimulationResult] = {}
 
 
 def default_memo_cap() -> int:
-    return env_int("REPRO_MEMO_CAP", 512)
+    return knobs.integer("REPRO_MEMO_CAP", 512, minimum=0)
 
 
 def _memo_get(key: Tuple) -> Optional[SimulationResult]:

@@ -56,7 +56,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro import faults
+from repro import faults, knobs
 from repro.core import snapshot as _snapshot
 from repro.core.results import SimulationResult
 from repro.obs import telemetry as _telemetry
@@ -107,64 +107,26 @@ _TIMEOUT_NOTE = (
 _Outcome = Tuple[int, Any, Optional[Tuple[str, str, str]], str, bool, int]
 
 
-def _env_pos_int(name: str, default: int, *, minimum: int = 0) -> int:
-    """A non-negative integer env knob with a readable failure mode."""
-    value = os.environ.get(name)
-    if not value:
-        return default
-    try:
-        parsed = int(value)
-    except ValueError:
-        raise ValueError(
-            f"{name} must be an integer >= {minimum}, got {value!r}"
-        ) from None
-    if parsed < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {parsed}")
-    return parsed
-
-
 def default_jobs() -> int:
-    """``REPRO_JOBS`` if set, else the machine's CPU count.
-
-    A non-integer value (e.g. ``REPRO_JOBS=max``) raises a readable
-    :class:`ValueError` instead of a bare conversion traceback; the CLI
-    turns it into a one-line error with exit code 2.
-    """
-    return max(_env_pos_int("REPRO_JOBS", os.cpu_count() or 1, minimum=1), 1)
+    """``REPRO_JOBS`` if set, else the machine's CPU count."""
+    return knobs.integer("REPRO_JOBS", os.cpu_count() or 1, minimum=1)
 
 
 def default_retries() -> int:
     """``REPRO_RETRIES``: max retries per point for retryable failures."""
-    return _env_pos_int("REPRO_RETRIES", 2, minimum=0)
+    return knobs.integer("REPRO_RETRIES", 2, minimum=0)
 
 
 def default_point_timeout() -> Optional[float]:
     """``REPRO_POINT_TIMEOUT`` in seconds, or None when unset."""
-    value = os.environ.get("REPRO_POINT_TIMEOUT")
-    if not value:
-        return None
-    try:
-        timeout = float(value)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_POINT_TIMEOUT must be a number of seconds, got {value!r}"
-        ) from None
-    if timeout <= 0:
-        raise ValueError(f"REPRO_POINT_TIMEOUT must be positive, got {timeout}")
-    return timeout
+    return knobs.number("REPRO_POINT_TIMEOUT", None, minimum=0.0, inclusive=False)
 
 
 def _retry_backoff_s(index: int, attempt: int) -> float:
     """Exponential backoff before retry ``attempt`` (1-based) of point
     ``index``, with deterministic jitter in [0.5, 1.0) so retried points
     neither stampede together nor perturb reproducibility."""
-    value = os.environ.get("REPRO_RETRY_BACKOFF")
-    try:
-        base = float(value) if value else 0.05
-    except ValueError:
-        raise ValueError(
-            f"REPRO_RETRY_BACKOFF must be a number of seconds, got {value!r}"
-        ) from None
+    base = knobs.number("REPRO_RETRY_BACKOFF", 0.05, minimum=0.0)
     jitter = 0.5 + 0.5 * (zlib.crc32(f"{index}:{attempt}".encode()) / 0xFFFFFFFF)
     return base * (2.0 ** (attempt - 1)) * jitter
 

@@ -18,36 +18,14 @@ def simulate(
     warmup_events: Optional[int] = None,
     seed: int = 0,
     config_name: Optional[str] = None,
-    audit: Optional[bool] = None,
-    trace: Optional[bool] = None,
-    metrics: Optional[bool] = None,
 ) -> SimulationResult:
     """Simulate ``workload`` on ``config`` (Table 1 defaults if omitted).
 
-    ``audit=True`` turns on the invariant auditor (:mod:`repro.obs.audit`)
-    for this run without editing the config; ``None`` leaves the config's
-    ``audit`` flag (and any ``REPRO_AUDIT`` override) in charge.  Auditing
-    never changes the result — it only raises
-    :class:`~repro.obs.audit.AuditViolation` on model-state corruption.
-
-    ``trace`` / ``metrics`` likewise override the config's observability
-    flags (:mod:`repro.obs.trace` / :mod:`repro.obs.metrics`) for this
-    run; both layers are read-only, so the result is bit-identical either
-    way.  Reach the collected data through :class:`CMPSystem` directly
-    (``system.tracer`` / ``system.sampler``) when you need more than the
-    env-var auto-write.
+    Observation layers (auditing, tracing, metrics, attribution) are
+    switched on the config, e.g. ``replace(config, audit=True)``; reach
+    the data they collect through :class:`CMPSystem` directly
+    (``system.auditor`` / ``system.tracer`` / ``system.sampler``).
     """
     cfg = config if config is not None else SystemConfig()
-    overrides = {}
-    if audit is not None and audit != cfg.audit:
-        overrides["audit"] = audit
-    if trace is not None and trace != cfg.trace:
-        overrides["trace"] = trace
-    if metrics is not None and metrics != cfg.metrics:
-        overrides["metrics"] = metrics
-    if overrides:
-        from dataclasses import replace
-
-        cfg = replace(cfg, **overrides)
     system = CMPSystem(cfg, workload, seed=seed)
     return system.run(events_per_core, warmup_events=warmup_events, config_name=config_name)

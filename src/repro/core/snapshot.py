@@ -64,6 +64,7 @@ import struct
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro import knobs
 from repro.faults import inject as _faults
 from repro.obs import telemetry as _telemetry
 
@@ -103,40 +104,16 @@ class SnapshotError(Exception):
 
 def snapshot_interval() -> int:
     """Phase length in trace events per core (0 = snapshots off)."""
-    raw = os.environ.get(ENV_INTERVAL)
-    if not raw:
-        return 0
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"{ENV_INTERVAL} must be an integer event count, got {raw!r}"
-        ) from None
-    if value < 0:
-        raise ValueError(f"{ENV_INTERVAL} must be >= 0, got {value}")
-    return value
+    return knobs.integer(ENV_INTERVAL, 0, minimum=0)
 
 
 def resume_requested() -> bool:
     """Has a resume been forced via ``REPRO_RESUME_SNAPSHOT``?"""
-    return os.environ.get(ENV_RESUME, "") not in ("", "0")
+    return knobs.flag_or_path(ENV_RESUME)[0]
 
 
 def snapshot_dir() -> str:
-    return os.environ.get(ENV_DIR) or DEFAULT_DIR
-
-
-def _env_float(name: str) -> Optional[float]:
-    raw = os.environ.get(name)
-    if not raw:
-        return None
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ValueError(f"{name} must be a number, got {raw!r}") from None
-    if value < 0:
-        raise ValueError(f"{name} must be >= 0, got {value}")
-    return value
+    return knobs.text(ENV_DIR, DEFAULT_DIR)
 
 
 # -- resource guards ----------------------------------------------------------
@@ -170,8 +147,8 @@ class ResourceGuard:
     """
 
     def __init__(self) -> None:
-        self.deadline_s = _env_float(ENV_DEADLINE)
-        self.mem_limit_mib = _env_float(ENV_MEM_LIMIT)
+        self.deadline_s = knobs.number(ENV_DEADLINE, None, minimum=0.0)
+        self.mem_limit_mib = knobs.number(ENV_MEM_LIMIT, None, minimum=0.0)
         self._t0 = time.monotonic()
 
     def active(self) -> bool:

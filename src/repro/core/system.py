@@ -14,6 +14,7 @@ import sys
 import time
 from typing import List, Optional, Union
 
+from repro import knobs
 from repro.core import snapshot as _snapshot
 from repro.core.hierarchy import MemoryHierarchy
 from repro.core.results import SimulationResult
@@ -100,31 +101,39 @@ class CMPSystem:
         #: Phase number this run was restored from (None = clean start);
         #: set by the snapshot-resume path, read by run_point telemetry.
         self.resumed_from_phase: Optional[int] = None
-        # Opt-in invariant auditing (repro.obs.audit).  When off, the hot
-        # loop's only extra cost is one falsy-int test per event.
+        # Opt-in observation layers (repro.obs): invariant auditing,
+        # event tracing, interval metrics and causal attribution.  Each
+        # is resolved once, here, under the precedence rule of
+        # repro.knobs; the end-of-run auto-writes and the auditor rebuilt
+        # on restore reuse the result.  All four are strictly read-only
+        # (results are bit-identical with them on or off), and when off
+        # each hot-loop site costs one falsy test.
+        self._audit_layer = knobs.layer(
+            config.audit, _audit.ENV_VAR, config.audit_interval, _audit.ENV_INTERVAL
+        )
+        self._trace_layer = knobs.layer(config.trace, _trace.ENV_VAR)
+        self._metrics_layer = knobs.layer(
+            config.metrics, _metrics.ENV_VAR, config.metrics_interval,
+            _metrics.ENV_INTERVAL,
+        )
+        self._attribution_layer = knobs.layer(config.attribution, _attribution.ENV_VAR)
         self.auditor: Optional[_audit.Auditor] = (
-            _audit.Auditor(self.hierarchy, _audit.audit_interval(config))
-            if _audit.audit_enabled(config)
+            _audit.Auditor(self.hierarchy, self._audit_layer.interval)
+            if self._audit_layer.on
             else None
         )
-        # Opt-in observability (repro.obs.trace / repro.obs.metrics).
-        # Both layers are strictly read-only — results are bit-identical
-        # with them on or off — and when off each instrumentation site
-        # costs one ``is not None`` branch.
         self.tracer: Optional[_trace.Tracer] = None
-        if _trace.trace_enabled(config):
+        if self._trace_layer.on:
             self.tracer = _trace.Tracer(config.n_cores, config.l2.n_banks)
             self.hierarchy.attach_tracer(self.tracer)
             for core in self.cores:
                 core.tracer = self.tracer
         self.sampler: Optional[_metrics.IntervalSampler] = (
-            _metrics.IntervalSampler(_metrics.metrics_interval(config))
-            if _metrics.metrics_enabled(config)
+            _metrics.IntervalSampler(self._metrics_layer.interval)
+            if self._metrics_layer.on
             else None
         )
-        # Opt-in causal attribution (repro.obs.attribution).  Read-only
-        # like trace/metrics.
-        if _attribution.attribution_enabled(config):
+        if self._attribution_layer.on:
             self.hierarchy.attach_attribution(
                 _attribution.AttributionTracker(config)
             )
@@ -227,21 +236,19 @@ class CMPSystem:
             metrics_samples=self.sampler.samples if self.sampler is not None else 0,
             attribution=self.hierarchy.attribution is not None,
         )
-        # Path-valued env knobs auto-write the artifacts at end of run
-        # (mirroring REPRO_AUDIT's path behaviour).
-        if tracer is not None:
-            out = _trace.trace_path()
-            if out:
-                tracer.write(out)
-        if self.sampler is not None:
-            out = _metrics.metrics_path()
-            if out:
-                self.sampler.write(out)
-        if self.hierarchy.attribution is not None:
-            out = _attribution.attribution_path()
-            if out:
-                self.hierarchy.attribution.write(out)
+        self._write_artifacts()
         return result
+
+    def _write_artifacts(self) -> None:
+        """Write each layer the environment turned on with a path value
+        to that path."""
+        for observer, layer in (
+            (self.tracer, self._trace_layer),
+            (self.sampler, self._metrics_layer),
+            (self.hierarchy.attribution, self._attribution_layer),
+        ):
+            if observer is not None and layer.path:
+                observer.write(layer.path)
 
     # -- crash-safe phased execution (repro.core.snapshot) -----------------
 
@@ -270,9 +277,7 @@ class CMPSystem:
             self._generators = [g.events() for g in gens]
         # The auditor is bound to the (replaced) hierarchy; rebuild it.
         if self.auditor is not None:
-            self.auditor = _audit.Auditor(
-                self.hierarchy, _audit.audit_interval(self.config)
-            )
+            self.auditor = _audit.Auditor(self.hierarchy, self._audit_layer.interval)
 
     def _run_phased(
         self,
@@ -393,10 +398,7 @@ class CMPSystem:
             phases=phase,
             resumed_phase=self.resumed_from_phase,
         )
-        if self.hierarchy.attribution is not None:
-            out = _attribution.attribution_path()
-            if out:
-                self.hierarchy.attribution.write(out)
+        self._write_artifacts()
         return result
 
     def _truncated_result(

@@ -62,9 +62,10 @@ the machinery adds nothing to a clean run.
 from __future__ import annotations
 
 import hashlib
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
+
+from repro import knobs
 
 ENV_VAR = "REPRO_FAULTS"
 
@@ -194,7 +195,7 @@ _COUNTERS: Dict[str, int] = {}
 
 def active() -> bool:
     """Is a fault plan installed?"""
-    return bool(os.environ.get(ENV_VAR))
+    return bool(knobs.text(ENV_VAR))
 
 
 def reset() -> None:
@@ -218,7 +219,7 @@ def should(
     for site context (e.g. a cache key) but does not affect selection —
     selection must stay deterministic under retry and reordering.
     """
-    spec = os.environ.get(ENV_VAR)
+    spec = knobs.text(ENV_VAR)
     if not spec:
         return None
     plan = _PARSED.get(spec)

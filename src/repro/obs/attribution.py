@@ -35,9 +35,10 @@ plain run, and when disabled each hook site costs one ``is not None``
 branch.  The ``attr_*`` rows it adds to ``SimulationResult.extra`` are
 observations *about* the run, so :func:`repro.report.export.
 result_fingerprint` strips them before hashing.  Enable via
-``SystemConfig.attribution=True`` or ``REPRO_ATTRIBUTION``
-(``0`` force-disables; a path value additionally makes
-:meth:`CMPSystem.run` write the attribution table there as JSON).
+``SystemConfig.attribution=True``.  When the config leaves attribution
+off, ``REPRO_ATTRIBUTION`` turns it on (the precedence rule of
+:mod:`repro.knobs`), and a path value additionally makes
+:meth:`CMPSystem.run` write the attribution table there as JSON.
 
 Two structural notes:
 
@@ -56,8 +57,7 @@ Two structural notes:
 from __future__ import annotations
 
 import json
-import os
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.params import SEGMENT_BYTES, SEGMENTS_PER_LINE
 
@@ -74,22 +74,6 @@ L1_EVICT_CAUSES = ("demand_fill", "prefetch_fill", "inclusion", "upgrade")
 
 #: Line inserters recorded on every L2 fill.
 INSERTERS = ("demand", "l1_prefetch", "l2_prefetch")
-
-
-def attribution_enabled(config=None) -> bool:
-    """Resolve the switch: ``REPRO_ATTRIBUTION`` overrides the config."""
-    env = os.environ.get(ENV_VAR, "")
-    if env != "":
-        return env != "0"
-    return bool(config is not None and getattr(config, "attribution", False))
-
-
-def attribution_path() -> Optional[str]:
-    """Output path carried in ``REPRO_ATTRIBUTION`` (None for bare on/off)."""
-    env = os.environ.get(ENV_VAR, "")
-    if env in ("", "0", "1"):
-        return None
-    return env
 
 
 class AttributionTracker:

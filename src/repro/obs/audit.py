@@ -1,11 +1,14 @@
-"""Runtime invariant auditing for the CMP model.
+"""Invariant checking for the CMP model: the simulator's one checker.
 
 The paper's conclusions rest entirely on miss/latency accounting: a
 silently-corrupted counter or a timing bug in a rewritten hot path
-poisons every downstream figure.  This module provides an opt-in auditor
-that re-derives the model's structural and accounting invariants from
-first principles and compares them against the live state — the software
-analogue of Touché-style runtime tag checking.
+poisons every downstream figure.  This module re-derives the model's
+structural and accounting invariants from first principles and compares
+them against the live state — the software analogue of Touché-style
+runtime tag checking.  :func:`audit_hierarchy` checks any live
+hierarchy once (tests call it after stress runs; it is handy while
+debugging a model change); the opt-in :class:`Auditor` repeats the same
+sweep periodically during a run.
 
 Invariant groups:
 
@@ -16,7 +19,8 @@ Invariant groups:
   segment budgets, tag conservation;
 * **inclusion & directory** — every valid L1 line is backed by a valid
   L2 line whose sharer bit for that core is set; sharer bits and the
-  modified-owner id never point at cores that do not hold the line;
+  modified-owner id never point at cores that do not hold the line (so
+  no two L1s hold one line Modified);
 * **stats conservation** — hits + misses == accesses, link byte/message
   /flit totals agree, DRAM issues match link requests, prefetch
   usefulness equals the prefetch/partial hit counts, and the taxonomy's
@@ -26,21 +30,24 @@ Violations raise :class:`AuditViolation`, which carries the full list of
 structured :class:`Violation` records (invariant name, message, context
 dict) so a failure pinpoints the broken state instead of a boolean.
 
-Enable via ``SystemConfig.audit=True`` or the ``REPRO_AUDIT=1``
-environment variable (the latter wins either way: ``REPRO_AUDIT=0``
-force-disables).  ``REPRO_AUDIT_INTERVAL`` / ``SystemConfig
-.audit_interval`` set the cadence in trace events.  Auditing is
-read-only: results with auditing on are bit-identical to auditing off.
+Enable periodic auditing with ``SystemConfig.audit=True`` (cadence
+``SystemConfig.audit_interval``, in trace events).  When the config
+leaves it off, ``REPRO_AUDIT`` turns it on, with the cadence from
+``REPRO_AUDIT_INTERVAL`` (the precedence rule of :mod:`repro.knobs`).
+Auditing is read-only: results with auditing on are bit-identical to
+auditing off.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.cache.line import MSIState
 from repro.params import SEGMENT_BYTES
+
+ENV_VAR = "REPRO_AUDIT"
+ENV_INTERVAL = "REPRO_AUDIT_INTERVAL"
 
 
 @dataclass(frozen=True)
@@ -71,22 +78,6 @@ class AuditViolation(AssertionError):
         if len(self.violations) > 20:
             lines.append(f"  ... and {len(self.violations) - 20} more")
         super().__init__("\n".join(lines))
-
-
-def audit_enabled(config=None) -> bool:
-    """Resolve the audit switch: ``REPRO_AUDIT`` overrides the config."""
-    env = os.environ.get("REPRO_AUDIT", "")
-    if env != "":
-        return env != "0"
-    return bool(config is not None and getattr(config, "audit", False))
-
-
-def audit_interval(config=None) -> int:
-    """Resolve the audit cadence: ``REPRO_AUDIT_INTERVAL`` overrides."""
-    env = os.environ.get("REPRO_AUDIT_INTERVAL", "")
-    if env != "":
-        return max(int(env), 1)
-    return int(getattr(config, "audit_interval", 4096)) if config is not None else 4096
 
 
 # ---------------------------------------------------------------------------

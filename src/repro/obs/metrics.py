@@ -24,11 +24,12 @@ run.  :meth:`IntervalSampler.on_reset` re-bases every rate's previous
 snapshot when :meth:`CMPSystem.reset_stats` zeroes the counters, so the
 first post-warmup row never sees negative deltas.
 
-Enable via ``SystemConfig.metrics=True`` or ``REPRO_METRICS`` (``0``
-force-disables; a path value additionally makes ``CMPSystem.run`` write
-the series there — ``.csv`` suffix selects CSV, anything else JSONL).
-``REPRO_METRICS_INTERVAL`` / ``SystemConfig.metrics_interval`` set the
-cadence in simulated cycles.
+Enable via ``SystemConfig.metrics=True``, with the cadence in simulated
+cycles from ``SystemConfig.metrics_interval``.  When the config leaves
+metrics off, ``REPRO_METRICS`` turns them on (the precedence rule of
+:mod:`repro.knobs`) with the cadence from ``REPRO_METRICS_INTERVAL``; a
+path value additionally makes ``CMPSystem.run`` write the series there
+(``.csv`` suffix selects CSV, anything else JSONL).
 """
 
 from __future__ import annotations
@@ -36,39 +37,12 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
 from typing import Callable, Dict, List, Optional, Tuple
 
 ENV_VAR = "REPRO_METRICS"
 ENV_INTERVAL = "REPRO_METRICS_INTERVAL"
 
 DEFAULT_INTERVAL = 5_000  # simulated cycles between samples
-
-
-def metrics_enabled(config=None) -> bool:
-    """Resolve the metrics switch: ``REPRO_METRICS`` overrides the config."""
-    env = os.environ.get(ENV_VAR, "")
-    if env != "":
-        return env != "0"
-    return bool(config is not None and getattr(config, "metrics", False))
-
-
-def metrics_path() -> Optional[str]:
-    """Output path carried in ``REPRO_METRICS`` (None for bare on/off)."""
-    env = os.environ.get(ENV_VAR, "")
-    if env in ("", "0", "1"):
-        return None
-    return env
-
-
-def metrics_interval(config=None) -> int:
-    """Resolve the sampling cadence: ``REPRO_METRICS_INTERVAL`` overrides."""
-    env = os.environ.get(ENV_INTERVAL, "")
-    if env != "":
-        return max(int(env), 1)
-    if config is not None:
-        return int(getattr(config, "metrics_interval", DEFAULT_INTERVAL))
-    return DEFAULT_INTERVAL
 
 
 #: A metric reads the live system; it must never mutate it.
@@ -238,7 +212,7 @@ class IntervalSampler:
 
     def __init__(self, interval: Optional[int] = None,
                  registry: Optional[MetricsRegistry] = None) -> None:
-        self.interval = metrics_interval() if interval is None else int(interval)
+        self.interval = DEFAULT_INTERVAL if interval is None else int(interval)
         if self.interval <= 0:
             raise ValueError("metrics interval must be positive")
         self.registry = registry if registry is not None else default_registry()

@@ -61,12 +61,14 @@ import os
 import time
 from typing import Any, Dict, Iterable, List
 
+from repro import knobs
+
 ENV_VAR = "REPRO_TELEMETRY"
 
 
 def enabled() -> bool:
     """Is telemetry directed anywhere?"""
-    return bool(os.environ.get(ENV_VAR))
+    return bool(knobs.text(ENV_VAR))
 
 
 # Cached append handles, keyed by sink path.  Reopening the file for
@@ -119,7 +121,7 @@ def emit(kind: str, **fields: Any) -> None:
     """Append one record to the telemetry sink; silently do nothing when
     disabled or when the sink cannot be written (telemetry must never
     fail a run)."""
-    path = os.environ.get(ENV_VAR)
+    path = knobs.text(ENV_VAR)
     if not path:
         return
     record: Dict[str, Any] = {"kind": kind, "ts": time.time(), "pid": os.getpid()}

@@ -32,11 +32,12 @@ fields (1 cycle == 1 "us" on the viewer's axis).
 Like the auditor, tracing is strictly read-only: results with tracing
 enabled are bit-identical (same ``result_fingerprint``) to a plain run,
 and when disabled each instrumentation site costs one ``is not None``
-branch.  Enable via ``SystemConfig.trace=True`` or ``REPRO_TRACE``
-(``REPRO_TRACE=0`` force-disables; any other non-empty value enables,
-and a value that is a path — anything but ``0``/``1`` — makes
-:meth:`CMPSystem.run` write the trace there when the run completes).
-``REPRO_TRACE_LIMIT`` caps the in-memory event count (default 1e6);
+branch.  Enable via ``SystemConfig.trace=True``.  When the config
+leaves tracing off, ``REPRO_TRACE`` turns it on (the precedence rule of
+:mod:`repro.knobs`), and a value that is a path — anything but ``1`` —
+makes :meth:`CMPSystem.run` write the trace there when the run
+completes.  ``REPRO_TRACE_LIMIT`` caps the in-memory event count
+(default 1e6);
 events past the cap are counted in ``dropped_events`` metadata instead
 of silently vanishing.
 """
@@ -44,8 +45,9 @@ of silently vanishing.
 from __future__ import annotations
 
 import json
-import os
 from typing import Any, Dict, List, Optional
+
+from repro import knobs
 
 ENV_VAR = "REPRO_TRACE"
 ENV_LIMIT = "REPRO_TRACE_LIMIT"
@@ -54,29 +56,6 @@ ENV_LIMIT = "REPRO_TRACE_LIMIT"
 PID = 1
 
 DEFAULT_LIMIT = 1_000_000
-
-
-def trace_enabled(config=None) -> bool:
-    """Resolve the trace switch: ``REPRO_TRACE`` overrides the config."""
-    env = os.environ.get(ENV_VAR, "")
-    if env != "":
-        return env != "0"
-    return bool(config is not None and getattr(config, "trace", False))
-
-
-def trace_path() -> Optional[str]:
-    """Output path carried in ``REPRO_TRACE`` (None for bare on/off)."""
-    env = os.environ.get(ENV_VAR, "")
-    if env in ("", "0", "1"):
-        return None
-    return env
-
-
-def trace_limit() -> int:
-    env = os.environ.get(ENV_LIMIT, "")
-    if env != "":
-        return max(int(env), 1)
-    return DEFAULT_LIMIT
 
 
 class Tracer:
@@ -96,7 +75,11 @@ class Tracer:
             raise ValueError("need at least one core and one bank")
         self.n_cores = n_cores
         self.n_banks = n_banks
-        self.limit = trace_limit() if limit is None else max(int(limit), 1)
+        self.limit = (
+            knobs.integer(ENV_LIMIT, DEFAULT_LIMIT, minimum=1)
+            if limit is None
+            else max(int(limit), 1)
+        )
         # Compact (ph, tid, name, ts, dur, args) records; JSON dicts are
         # only materialised at export.  Building a dict per event costs
         # ~3x a tuple append and keeps hundreds of thousands of tracked

@@ -217,9 +217,11 @@ class SystemConfig:
     prefetch: PrefetchConfig = field(default_factory=PrefetchConfig)
     # Opt-in invariant auditing (repro.obs.audit): periodically verify
     # model invariants (inclusion, directory consistency, segment
-    # budgets, stats conservation) during simulation.  ``REPRO_AUDIT``
-    # overrides ``audit``; ``REPRO_AUDIT_INTERVAL`` overrides the cadence
-    # (trace events per core-interleaved step between full checks).
+    # budgets, stats conservation) every ``audit_interval`` trace events.
+    # A flag set here ignores the environment; a flag left off can be
+    # turned on by ``REPRO_AUDIT``, which then takes its cadence from
+    # ``REPRO_AUDIT_INTERVAL`` (the precedence rule of repro.knobs, shared
+    # by all four observation layers).
     # Auditing never changes simulation results — only whether an
     # :class:`~repro.obs.audit.AuditViolation` can interrupt a run.
     audit: bool = False
@@ -228,9 +230,10 @@ class SystemConfig:
     # ``trace`` records simulated-time spans and instants for Perfetto
     # export; ``metrics`` samples a time series of IPC/miss-rate/
     # compression/link/prefetch metrics every ``metrics_interval``
-    # simulated cycles.  ``REPRO_TRACE`` / ``REPRO_METRICS`` override
-    # the flags, ``REPRO_METRICS_INTERVAL`` the cadence.  Both layers
-    # are read-only: results are bit-identical with them on or off.
+    # simulated cycles.  Left off, they can be turned on by
+    # ``REPRO_TRACE`` / ``REPRO_METRICS`` (metrics then take their
+    # cadence from ``REPRO_METRICS_INTERVAL``).  Both layers are
+    # read-only: results are bit-identical with them on or off.
     trace: bool = False
     metrics: bool = False
     metrics_interval: int = 5000
@@ -238,9 +241,9 @@ class SystemConfig:
     # cached line with its inserter, record every eviction's cause, and
     # classify each demand miss online into compulsory / capacity /
     # pollution / expansion via per-set shadow victim-tag filters.
-    # ``REPRO_ATTRIBUTION`` overrides the flag (a path value also names
-    # the JSON output file).  Read-only like trace/metrics: results are
-    # bit-identical with attribution on or off.
+    # Left off, it can be turned on by ``REPRO_ATTRIBUTION`` (a path
+    # value also names the JSON output file).  Read-only like
+    # trace/metrics: results are bit-identical with attribution on or off.
     attribution: bool = False
     # The simulator has a single engine.  A class constant, not a field:
     # it stays out of asdict/replace and out of every cache key.

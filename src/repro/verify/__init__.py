@@ -1,7 +1,7 @@
 """Differential verification subsystem.
 
-Three pillars, layered on top of the invariant checks that moved here
-from ``repro.core.validate``:
+Four pillars, layered on top of the invariant checker
+:func:`repro.obs.audit.audit_hierarchy` (re-exported here):
 
 * :mod:`repro.verify.oracle` — an independent, timing-free functional
   reference hierarchy replayed against a recorded op stream
@@ -17,9 +17,5 @@ from ``repro.core.validate``:
   shrinks failures and persists a crash corpus (``repro fuzz``).
 """
 
-from repro.verify.invariants import (  # noqa: F401
-    ALL_CHECKS,
-    InvariantViolation,
-    validate_hierarchy,
-)
+from repro.obs.audit import AuditViolation, audit_hierarchy  # noqa: F401
 from repro.verify.oracle import OracleMismatch, verify_system  # noqa: F401

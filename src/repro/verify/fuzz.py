@@ -31,12 +31,12 @@ Environment knobs:
 from __future__ import annotations
 
 import json
-import os
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro import knobs
 from repro.core.system import CMPSystem
 from repro.obs.audit import AuditViolation
 from repro.params import LINE_BYTES, SystemConfig, asdict, config_from_dict
@@ -59,14 +59,6 @@ from repro.workloads.linked import HEAP_BASE
 from repro.workloads.registry import all_names, get_spec
 
 DEFAULT_CORPUS = ".repro_fuzz"
-
-
-def base_seed() -> int:
-    return int(os.environ.get("REPRO_FUZZ_SEED", "0") or "0")
-
-
-def corpus_dir() -> Path:
-    return Path(os.environ.get("REPRO_FUZZ_DIR", "") or DEFAULT_CORPUS)
 
 
 # ---------------------------------------------------------------------------
@@ -284,19 +276,6 @@ class FuzzFailure:
         )
 
 
-class _ForcedAudit:
-    """Make ``config.audit`` authoritative: an ambient ``REPRO_AUDIT=0``
-    must not silently disable the fuzz run's auditing."""
-
-    def __enter__(self):
-        self._saved = os.environ.pop("REPRO_AUDIT", None)
-        return self
-
-    def __exit__(self, *exc):
-        if self._saved is not None:
-            os.environ["REPRO_AUDIT"] = self._saved
-
-
 def _pack(config: SystemConfig, workload: str, events) -> TracePack:
     header = TraceHeader(
         workload=workload,
@@ -313,12 +292,9 @@ def _check_case(
     """Run the whole verification stack on one case; raise on failure."""
     events = trace.events_per_core
     warmup = events // 2
-    with _ForcedAudit():
-        audited = replace(config, audit=True, audit_interval=max(events // 4, 64))
-        system = CMPSystem(audited, trace=trace)
-        result, _ = verify_system(
-            system, events, warmup_events=warmup, config_name="fuzz"
-        )
+    audited = replace(config, audit=True, audit_interval=max(events // 4, 64))
+    system = CMPSystem(audited, trace=trace)
+    result, _ = verify_system(system, events, warmup_events=warmup, config_name="fuzz")
     wire = json.dumps(result_to_full_dict(result), sort_keys=True)
     if result_fingerprint(result_from_dict(json.loads(wire))) != result_fingerprint(result):
         raise PropertyViolation("fuzz: JSON round trip changed the result")
@@ -473,7 +449,9 @@ def fuzz_one(
 
 
 def save_failure(failure: FuzzFailure, corpus: Optional[Path] = None) -> Path:
-    root = Path(corpus) if corpus is not None else corpus_dir()
+    if corpus is None:
+        corpus = knobs.text("REPRO_FUZZ_DIR", DEFAULT_CORPUS)
+    root = Path(corpus)
     root.mkdir(parents=True, exist_ok=True)
     path = root / f"crash-seed{failure.seed}-{failure.stage.lower()}.json"
     path.write_text(failure.to_json())
@@ -512,7 +490,7 @@ def run_fuzz(
     """Run ``seeds`` cases (stopping early at ``budget_s`` wall seconds),
     persisting every failure to the crash corpus."""
     t0 = time.monotonic()
-    first = base_seed() if start_seed is None else start_seed
+    first = knobs.integer("REPRO_FUZZ_SEED", 0, minimum=0) if start_seed is None else start_seed
     report = FuzzReport()
     for seed in range(first, first + seeds):
         if budget_s is not None and time.monotonic() - t0 >= budget_s:

@@ -416,8 +416,8 @@ def check_attribution_noop(
     warmup = events if warmup is None else warmup
     off = replace(config, attribution=False)
     on = replace(config, attribution=True)
-    # An ambient REPRO_ATTRIBUTION would override both sides of the
-    # pair (turning A/B into A/A); suspend it for the comparison.
+    # An ambient REPRO_ATTRIBUTION would turn on the config-off side of
+    # the pair (turning A/B into A/A); suspend it for the comparison.
     saved = os.environ.pop("REPRO_ATTRIBUTION", None)
     try:
         r_off = _simulate(off, workload, trace, seed, events, warmup)

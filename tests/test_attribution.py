@@ -27,9 +27,7 @@ import pytest
 from repro.core.experiment import CONFIG_FEATURES, make_config
 from repro.core.missclass import classify_misses
 from repro.core.system import CMPSystem
-from repro.obs import attribution as attr_mod
 from repro.obs.attribution import AttributionTracker
-from repro.params import SystemConfig
 from repro.report.export import result_fingerprint
 from repro.workloads.registry import all_names
 
@@ -231,19 +229,30 @@ def test_shares_and_export_shapes():
 # ---------------------------------------------------------------------------
 
 
-def test_env_gate_overrides_config(monkeypatch):
-    on = replace(SystemConfig(), attribution=True)
-    off = SystemConfig()
-    monkeypatch.delenv("REPRO_ATTRIBUTION", raising=False)
-    assert attr_mod.attribution_enabled(on)
-    assert not attr_mod.attribution_enabled(off)
-    monkeypatch.setenv("REPRO_ATTRIBUTION", "0")
-    assert not attr_mod.attribution_enabled(on)
-    monkeypatch.setenv("REPRO_ATTRIBUTION", "1")
-    assert attr_mod.attribution_enabled(off)
-    assert attr_mod.attribution_path() is None
-    monkeypatch.setenv("REPRO_ATTRIBUTION", "/tmp/a.json")
-    assert attr_mod.attribution_path() == "/tmp/a.json"
+def test_env_gate_overrides_config(tmp_path, monkeypatch):
+    """REPRO_ATTRIBUTION overrides a config that leaves attribution off
+    (and writes to the path it carries); a config that turns it on
+    ignores "0" and the path."""
+    def attribution(env_value, **config):
+        if env_value is None:
+            monkeypatch.delenv("REPRO_ATTRIBUTION", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_ATTRIBUTION", env_value)
+        cfg = replace(make_config("pref_compr", n_cores=2, scale=16), **config)
+        system = CMPSystem(cfg, "zeus", seed=0)
+        system.run(200, warmup_events=100)
+        return system.hierarchy.attribution
+
+    out = tmp_path / "a.json"
+    assert attribution(None) is None
+    assert attribution("0") is None
+    assert attribution("1") is not None
+    assert attribution(None, attribution=True) is not None
+    assert attribution("0", attribution=True) is not None
+    assert attribution(str(out), attribution=True) is not None
+    assert not out.exists()
+    assert attribution(str(out)) is not None
+    assert out.exists()
 
 
 def test_env_autowrite_artifact(tmp_path, monkeypatch):

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from repro.core.experiment import (
@@ -12,7 +10,6 @@ from repro.core.experiment import (
     default_events,
     default_scale,
     default_seeds,
-    env_int,
     make_config,
     run_matrix,
     run_point,
@@ -61,17 +58,6 @@ class TestConfigMatrix:
 
 
 class TestEnvKnobs:
-    def test_env_int_default(self):
-        os.environ.pop("REPRO_TEST_KNOB", None)
-        assert env_int("REPRO_TEST_KNOB", 42) == 42
-
-    def test_env_int_set(self):
-        os.environ["REPRO_TEST_KNOB"] = "7"
-        try:
-            assert env_int("REPRO_TEST_KNOB", 42) == 7
-        finally:
-            del os.environ["REPRO_TEST_KNOB"]
-
     def test_defaults_positive(self):
         assert default_events() > 0
         assert default_seeds() >= 1

@@ -14,9 +14,7 @@ from repro.obs import telemetry
 from repro.obs.audit import (
     AuditViolation,
     Auditor,
-    audit_enabled,
     audit_hierarchy,
-    audit_interval,
     audit_cache_structure,
     audit_inclusion,
     audit_stats,
@@ -28,31 +26,51 @@ from tests.conftest import make_tiny_system
 from tests.test_hierarchy import make_hierarchy
 
 
+def _auditor(monkeypatch, env, **config):
+    """The auditor a tiny system builds with only ``env`` set."""
+    for var in ("REPRO_AUDIT", "REPRO_AUDIT_INTERVAL"):
+        if var in env:
+            monkeypatch.setenv(var, env[var])
+        else:
+            monkeypatch.delenv(var, raising=False)
+    return CMPSystem(make_tiny_system(**config), "zeus", seed=0).auditor
+
+
 class TestEnableResolution:
+    """The precedence rule of repro.knobs, seen through the auditor."""
+
     def test_config_switch(self, monkeypatch):
-        monkeypatch.delenv("REPRO_AUDIT", raising=False)
-        assert not audit_enabled(SystemConfig())
-        assert audit_enabled(SystemConfig(audit=True))
+        assert _auditor(monkeypatch, {}) is None
+        assert _auditor(monkeypatch, {}, audit=True).interval == 4096
 
     def test_env_overrides_config_on(self, monkeypatch):
-        monkeypatch.setenv("REPRO_AUDIT", "1")
-        assert audit_enabled(SystemConfig(audit=False))
+        """A config-off layer is turned on by any value but "" and "0"."""
+        for value in ("1", "yes", "/tmp/anything"):
+            assert _auditor(monkeypatch, {"REPRO_AUDIT": value}) is not None
+        assert _auditor(monkeypatch, {"REPRO_AUDIT": "0"}) is None
+        assert _auditor(monkeypatch, {"REPRO_AUDIT": ""}) is None
 
-    def test_env_zero_force_disables(self, monkeypatch):
-        monkeypatch.setenv("REPRO_AUDIT", "0")
-        assert not audit_enabled(SystemConfig(audit=True))
+    def test_config_on_ignores_env(self, monkeypatch):
+        for value in ("0", "1", "/tmp/anything"):
+            for interval in ("128", "abc"):
+                env = {"REPRO_AUDIT": value, "REPRO_AUDIT_INTERVAL": interval}
+                auditor = _auditor(monkeypatch, env, audit=True, audit_interval=555)
+                assert auditor is not None and auditor.interval == 555
 
     def test_interval_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_AUDIT_INTERVAL", "128")
-        assert audit_interval(SystemConfig(audit_interval=4096)) == 128
-        monkeypatch.delenv("REPRO_AUDIT_INTERVAL")
-        assert audit_interval(SystemConfig(audit_interval=555)) == 555
+        """An env-enabled layer takes its interval from the environment."""
+        env = {"REPRO_AUDIT": "1", "REPRO_AUDIT_INTERVAL": "128"}
+        assert _auditor(monkeypatch, env, audit_interval=555).interval == 128
+        env = {"REPRO_AUDIT": "1"}
+        assert _auditor(monkeypatch, env, audit_interval=555).interval == 555
 
-    def test_interval_must_be_positive(self):
+    def test_interval_must_be_positive(self, monkeypatch):
         with pytest.raises(ValueError):
             SystemConfig(audit_interval=0)
         with pytest.raises(ValueError):
             Auditor(object(), interval=0)
+        with pytest.raises(ValueError, match="REPRO_AUDIT_INTERVAL"):
+            _auditor(monkeypatch, {"REPRO_AUDIT": "1", "REPRO_AUDIT_INTERVAL": "0"})
 
 
 class TestHealthyHierarchyPasses:
@@ -182,16 +200,6 @@ class TestSystemIntegration:
         system = CMPSystem(make_tiny_system(), "zeus", seed=0)
         assert system.auditor is not None and system.auditor.interval == 32
 
-    def test_simulate_facade_audit_flag(self, monkeypatch):
-        monkeypatch.delenv("REPRO_AUDIT", raising=False)
-        from repro.core.simulator import simulate
-
-        result = simulate(
-            "zeus", make_tiny_system(), events_per_core=200, warmup_events=100,
-            audit=True,
-        )
-        assert result.events == 400  # ran to completion, zero violations
-
     def test_audit_does_not_change_results(self, monkeypatch):
         """The acceptance criterion: auditing is observation only."""
         monkeypatch.delenv("REPRO_AUDIT", raising=False)
@@ -288,6 +296,28 @@ class TestCLI:
         assert code == 0
         assert "audit OK" in out and "0 violations" in out
         assert "fingerprint" in out
+
+    def test_audit_interval_flag_beats_ambient_env(self, capsys, monkeypatch):
+        """``--interval`` sets the cadence even with REPRO_AUDIT_INTERVAL
+        set: the command turns auditing on in the config, so the layer
+        ignores the environment."""
+        import re
+
+        from repro.cli import main
+
+        argv = ["audit", "zeus", "--config", "base", "--events", "400",
+                "--warmup", "100", "--scale", "16", "--cores", "2",
+                "--interval", "100"]
+        counts = []
+        for ambient in (None, "7"):
+            if ambient is None:
+                monkeypatch.delenv("REPRO_AUDIT_INTERVAL", raising=False)
+            else:
+                monkeypatch.setenv("REPRO_AUDIT_INTERVAL", ambient)
+            assert main(argv) == 0
+            out = capsys.readouterr().out
+            counts.append(int(re.search(r"audit OK: (\d+) check", out).group(1)))
+        assert counts[0] == counts[1] == 12
 
     def test_telemetry_command_smoke(self, capsys, tmp_path, monkeypatch):
         sink = tmp_path / "t.jsonl"

@@ -85,3 +85,20 @@ class TestRepoConsistency:
     @pytest.mark.skipif(not (REPO / "examples").exists(), reason="not an editable checkout")
     def test_at_least_three_examples(self):
         assert len(list((REPO / "examples").glob("*.py"))) >= 3
+
+    @pytest.mark.skipif(not (REPO / "README.md").exists(), reason="not an editable checkout")
+    def test_knob_inventory(self):
+        """Every ``REPRO_*`` knob in src/ has a README row and vice versa,
+        and only repro/knobs.py reads the environment."""
+        src = REPO / "src"
+        in_src, readers = set(), set()
+        for path in src.rglob("*.py"):
+            text = path.read_text()
+            in_src |= set(re.findall(r"REPRO_[A-Z_]+", text))
+            if re.search(r"os\.environ\.get|os\.getenv", text):
+                readers.add(path.relative_to(src).as_posix())
+        readme = (REPO / "README.md").read_text()
+        in_readme = set(re.findall(r"^\| `(REPRO_[A-Z_]+)`", readme, re.M))
+        assert in_src == in_readme
+        assert len(in_src) == 28
+        assert readers == {"repro/knobs.py"}

@@ -18,8 +18,6 @@ import pytest
 
 from repro.core.experiment import CONFIG_FEATURES, make_config
 from repro.core.system import CMPSystem
-from repro.obs import metrics as metrics_mod
-from repro.obs import trace as trace_mod
 from repro.obs.metrics import IntervalSampler, MetricsRegistry
 from repro.obs.progress import SweepProgress, default_progress
 from repro.obs.trace import Tracer, validate_trace
@@ -214,36 +212,57 @@ def test_registry_rejects_duplicates_and_reads_rates():
 # ---------------------------------------------------------------------------
 
 
+def _system(monkeypatch, env, **config):
+    """A small system built with only ``env`` of the trace/metrics knobs set."""
+    for var in ("REPRO_TRACE", "REPRO_METRICS", "REPRO_METRICS_INTERVAL"):
+        if var in env:
+            monkeypatch.setenv(var, env[var])
+        else:
+            monkeypatch.delenv(var, raising=False)
+    cfg = replace(make_config("pref", n_cores=2, scale=16), **config)
+    return CMPSystem(cfg, "zeus", seed=0)
+
+
 def test_env_gates_override_config(monkeypatch):
-    on = replace(SystemConfig(), trace=True, metrics=True)
-    off = SystemConfig()
-    for var, enabled in (("REPRO_TRACE", trace_mod.trace_enabled),
-                         ("REPRO_METRICS", metrics_mod.metrics_enabled)):
-        monkeypatch.delenv(var, raising=False)
-        assert enabled(on) and not enabled(off)
-        monkeypatch.setenv(var, "0")
-        assert not enabled(on) and not enabled(off)
-        monkeypatch.setenv(var, "1")
-        assert enabled(on) and enabled(off)
-        monkeypatch.delenv(var, raising=False)
+    """The env gates override a config that leaves a layer off; a config
+    that turns a layer on ignores them."""
+    for var, attr, flag in (("REPRO_TRACE", "tracer", "trace"),
+                            ("REPRO_METRICS", "sampler", "metrics")):
+        assert getattr(_system(monkeypatch, {}), attr) is None
+        assert getattr(_system(monkeypatch, {var: "0"}), attr) is None
+        assert getattr(_system(monkeypatch, {var: "1"}), attr) is not None
+        # A layer the config turns on ignores the environment, "0" too.
+        on = _system(monkeypatch, {var: "0"}, **{flag: True})
+        assert getattr(on, attr) is not None
 
 
-def test_path_valued_gates_carry_output_paths(monkeypatch):
-    monkeypatch.setenv("REPRO_TRACE", "/tmp/t.json")
-    monkeypatch.setenv("REPRO_METRICS", "/tmp/m.csv")
-    assert trace_mod.trace_enabled(SystemConfig())
-    assert trace_mod.trace_path() == "/tmp/t.json"
-    assert metrics_mod.metrics_path() == "/tmp/m.csv"
-    monkeypatch.setenv("REPRO_TRACE", "1")
-    assert trace_mod.trace_path() is None
+def test_path_valued_gates_carry_output_paths(tmp_path, monkeypatch):
+    """An env-enabled layer writes to the path its switch carries; a
+    config-enabled layer ignores the path."""
+    monkeypatch.chdir(tmp_path)
+    trace_out, metrics_out = tmp_path / "t.json", tmp_path / "m.csv"
+    env = {"REPRO_TRACE": str(trace_out), "REPRO_METRICS": str(metrics_out)}
+    _system(monkeypatch, env, trace=True, metrics=True).run(200, warmup_events=100)
+    assert not trace_out.exists() and not metrics_out.exists()
+    _system(monkeypatch, env).run(200, warmup_events=100)
+    assert trace_out.exists() and metrics_out.exists()
+    trace_out.unlink()
+    metrics_out.unlink()
+    bare = {"REPRO_TRACE": "1", "REPRO_METRICS": "1"}
+    _system(monkeypatch, bare).run(200, warmup_events=100)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_interval_gate(monkeypatch):
-    cfg = replace(SystemConfig(), metrics_interval=123)
-    monkeypatch.delenv("REPRO_METRICS_INTERVAL", raising=False)
-    assert metrics_mod.metrics_interval(cfg) == 123
-    monkeypatch.setenv("REPRO_METRICS_INTERVAL", "77")
-    assert metrics_mod.metrics_interval(cfg) == 77
+    on = _system(monkeypatch, {"REPRO_METRICS_INTERVAL": "77"},
+                 metrics=True, metrics_interval=123)
+    assert on.sampler.interval == 123
+    env_on = {"REPRO_METRICS": "1", "REPRO_METRICS_INTERVAL": "77"}
+    assert _system(monkeypatch, env_on, metrics_interval=123).sampler.interval == 77
+    env_on = {"REPRO_METRICS": "1"}
+    assert _system(monkeypatch, env_on, metrics_interval=123).sampler.interval == 123
+    with pytest.raises(ValueError, match="REPRO_METRICS_INTERVAL"):
+        _system(monkeypatch, {"REPRO_METRICS": "1", "REPRO_METRICS_INTERVAL": "0"})
 
 
 def test_env_autowrite_artifacts(tmp_path, monkeypatch):
