@@ -21,17 +21,17 @@ are the same four runs).
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Iterable, List, Tuple
 
-from repro.core.experiment import run_point
+from repro import knobs
+from repro.core.experiment import default_seeds, run_point
 from repro.core.results import SimulationResult
 from repro.stats.confidence import mean_ci
 from repro.workloads.registry import all_names, commercial_names, scientific_names
 
-EVENTS = int(os.environ.get("REPRO_EVENTS", 8000))
-WARMUP = int(os.environ.get("REPRO_WARMUP", 12000))
-SEEDS = int(os.environ.get("REPRO_SEEDS", 1))
+EVENTS = knobs.integer("REPRO_EVENTS", 8000, minimum=1)
+WARMUP = knobs.integer("REPRO_WARMUP", 12000, minimum=0)
+SEEDS = default_seeds()
 
 ALL = all_names()
 COMMERCIAL = commercial_names()

@@ -43,9 +43,7 @@ from repro.core import (
     clear_cache,
     interaction_coefficient,
     make_config,
-    run_matrix,
     run_point,
-    run_seeds,
     simulate,
     speedup,
 )
@@ -80,9 +78,7 @@ __all__ = [
     "PointError",
     "interaction_coefficient",
     "make_config",
-    "run_matrix",
     "run_point",
-    "run_seeds",
     "simulate",
     "speedup",
     "WORKLOADS",

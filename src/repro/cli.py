@@ -78,10 +78,10 @@ def _apply_snapshot_args(args) -> None:
         os.environ[_snapshot.ENV_RESUME] = "1"
 
 
-def _finish_run(result: SimulationResult) -> int:
-    """Exit code for a single-point command: 3 flags a guard-truncated
+def _finish_run(*results: SimulationResult) -> int:
+    """Exit code for a command's results: 3 flags a guard-truncated
     partial result so scripts never mistake it for a complete run."""
-    if result.extra.get("truncated"):
+    if any(result.extra.get("truncated") for result in results):
         print(
             "exit 3: partial result (resource guard); resume with "
             "--resume-snapshot to finish the run",
@@ -215,7 +215,7 @@ def cmd_sweep(args) -> int:
                 file=sys.stderr,
             )
     _emit(ordered, args)
-    return 1 if failed else 0
+    return 1 if failed else _finish_run(*ordered)
 
 
 def cmd_cache(args) -> int:

@@ -13,9 +13,7 @@ from repro.core.experiment import (
     CONFIG_FEATURES,
     clear_cache,
     make_config,
-    run_matrix,
     run_point,
-    run_seeds,
 )
 from repro.core.checkpoint import SweepJournal
 from repro.core.diskcache import DiskCache
@@ -37,9 +35,7 @@ __all__ = [
     "CONFIG_FEATURES",
     "clear_cache",
     "make_config",
-    "run_matrix",
     "run_point",
-    "run_seeds",
     "DiskCache",
     "ParallelRunner",
     "PointError",

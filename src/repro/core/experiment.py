@@ -26,7 +26,7 @@ Long-run durability knobs (``REPRO_SNAPSHOT_INTERVAL``,
 from __future__ import annotations
 
 import time
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro import knobs
 from repro.core import diskcache
@@ -248,115 +248,6 @@ def _emit_point(
             point_key=disk_key,
             wall_s=time.perf_counter() - t0,
         )
-
-
-def _run_parallel(
-    points: List[Tuple[Tuple[str, str], Dict]],
-    jobs: Optional[int],
-    on_outcome=None,
-) -> List[SimulationResult]:
-    """Fan points out to worker processes; raise on any failed point.
-
-    ``on_outcome(index, outcome)`` fires per final outcome (used by the
-    checkpoint journal) *before* any failure aborts the batch, so
-    completed points survive a partial run.
-    """
-    from repro.core.runner import ParallelRunner, PointError
-
-    outcomes = ParallelRunner(jobs).run_points(points, on_outcome=on_outcome)
-    for outcome in outcomes:
-        if isinstance(outcome, PointError):
-            raise RuntimeError(
-                f"simulation of {outcome.workload}/{outcome.key} failed: "
-                f"{outcome.error}\n{outcome.traceback}"
-            )
-    for ((workload, key), kwargs), result in zip(points, outcomes):
-        remember_point(result, workload=workload, key=key, **kwargs)
-    return outcomes
-
-
-def run_seeds(
-    workload: str,
-    key: str,
-    seeds: Optional[int] = None,
-    jobs: Optional[int] = None,
-    **kwargs,
-) -> List[SimulationResult]:
-    """One result per seed (the paper's variability methodology).
-
-    ``jobs`` > 1 runs the seeds across worker processes.
-    """
-    n = seeds if seeds is not None else default_seeds()
-    if jobs is not None and jobs > 1 and n > 1:
-        points = [((workload, key), dict(kwargs, seed=s)) for s in range(n)]
-        return _run_parallel(points, jobs)
-    return [run_point(workload, key, seed=s, **kwargs) for s in range(n)]
-
-
-def run_matrix(
-    workloads: Iterable[str],
-    keys: Iterable[str],
-    jobs: Optional[int] = None,
-    journal=None,
-    **kwargs,
-) -> Dict[Tuple[str, str], SimulationResult]:
-    """Cartesian sweep used by most figures.
-
-    ``jobs`` > 1 runs the grid across worker processes; the returned
-    mapping is identical to a serial run.  ``journal`` (a
-    :class:`repro.core.checkpoint.SweepJournal`) checkpoints each
-    completed point and restores already-completed ones bit-identically
-    instead of re-simulating them.
-    """
-    coords = [(w, k) for w in workloads for k in keys]
-    if journal is None:
-        if jobs is not None and jobs > 1 and len(coords) > 1:
-            points = [((w, k), dict(kwargs)) for w, k in coords]
-            results = _run_parallel(points, jobs)
-            return dict(zip(coords, results))
-        return {(w, k): run_point(w, k, **kwargs) for w, k in coords}
-
-    from repro.core import checkpoint
-
-    jkeys = {
-        (w, k): checkpoint.point_journal_key(
-            {"workload": w, "key": k}, dict(kwargs)
-        )
-        for w, k in coords
-    }
-    out: Dict[Tuple[str, str], SimulationResult] = {}
-    remaining = []
-    for w, k in coords:
-        restored = journal.result_for(jkeys[(w, k)])
-        if restored is not None:
-            out[(w, k)] = restored
-            remember_point(restored, workload=w, key=k, **kwargs)
-        else:
-            remaining.append((w, k))
-    if remaining:
-        if jobs is not None and jobs > 1 and len(remaining) > 1:
-            points = [((w, k), dict(kwargs)) for w, k in remaining]
-
-            def record(pos, outcome):
-                from repro.core.runner import PointError
-
-                w, k = remaining[pos]
-                coord = {"workload": w, "key": k}
-                if isinstance(outcome, PointError):
-                    journal.record_error(jkeys[(w, k)], coord, outcome)
-                else:
-                    journal.record_result(jkeys[(w, k)], coord, outcome)
-
-            results = _run_parallel(points, jobs, on_outcome=record)
-            out.update(zip(remaining, results))
-        else:
-            for w, k in remaining:
-                result = run_point(w, k, **kwargs)
-                journal.record_result(
-                    jkeys[(w, k)], {"workload": w, "key": k}, result
-                )
-                out[(w, k)] = result
-    return {(w, k): out[(w, k)] for w, k in coords}
 
 
 def clear_cache(disk: bool = False) -> None:

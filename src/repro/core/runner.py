@@ -7,6 +7,9 @@ list of :func:`repro.core.experiment.run_point` argument sets out to a
 the output order is deterministic regardless of which worker finishes
 first.  A point that raises is captured as a :class:`PointError` (with
 its coordinates and traceback) instead of killing the whole sweep.
+With one job the points run in this process, with the same retries and
+error capture; :meth:`repro.core.sweep.Sweep.run` drives every grid
+through this class at every job count.
 
 The runner is hardened against the failure modes long sweeps actually
 hit (all of them injectable via :mod:`repro.faults` for tests):

@@ -24,8 +24,9 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core import checkpoint
-from repro.core.experiment import last_point_source, run_point
+from repro.core.experiment import remember_point
 from repro.core.results import SimulationResult
+from repro.core.runner import ParallelRunner, PointError, _notify
 from repro.report.tables import Table
 
 #: Metrics extractable from a result by name.
@@ -44,9 +45,9 @@ METRICS: Dict[str, Callable[[SimulationResult], float]] = {
 class SweepResults:
     """The full grid of results plus slicing helpers.
 
-    ``errors`` holds the grid points that raised during a parallel run
-    (coordinates -> :class:`repro.core.runner.PointError`); those keys
-    are absent from ``points``.
+    ``errors`` holds the grid points that failed (coordinates ->
+    :class:`repro.core.runner.PointError`); those keys are absent from
+    ``points``.
     """
 
     dimensions: List[str]
@@ -162,11 +163,12 @@ class Sweep:
         """Simulate every grid point (cached via run_point's memo and the
         disk cache).
 
-        ``jobs`` > 1 fans the grid out across worker processes (see
-        :class:`repro.core.runner.ParallelRunner`); the merged results
-        are identical to a serial run, and a grid point that raises is
-        recorded in :attr:`SweepResults.errors` instead of aborting the
-        sweep.
+        Every point runs through one :class:`repro.core.runner.ParallelRunner`:
+        ``jobs`` > 1 fans the grid out across worker processes, while
+        ``jobs`` of None or 1 runs it in this process.  Either way the
+        results are identical, retryable faults are retried, and a grid
+        point that raises is recorded in :attr:`SweepResults.errors`
+        instead of aborting the sweep.
 
         ``journal`` checkpoints every completed point crash-safely (see
         :class:`repro.core.checkpoint.SweepJournal`): points the journal
@@ -194,8 +196,6 @@ class Sweep:
             kwargs.setdefault("warmup", warmup)
             run_kwargs.append((coords, kwargs))
 
-        from repro.core.runner import ParallelRunner, PointError, _notify
-
         # Seed already-completed points from the checkpoint journal.
         jkeys: Optional[List[str]] = None
         skipped: List[int] = []
@@ -211,15 +211,24 @@ class Sweep:
                     skipped.append(i)
             for n, _i in enumerate(skipped):
                 _notify(progress, n + 1, total, "journal")
-        remaining = [i for i in range(total) if i not in set(skipped)]
+        done = set(skipped)
+        remaining = [i for i in range(total) if i not in done]
         if not remaining:
             return results
         prog = progress
         if progress is not None and skipped:
             prog = _OffsetProgress(progress, len(skipped), total)
 
+        points = [
+            ((run_kwargs[i][0]["workload"], run_kwargs[i][0]["key"]), run_kwargs[i][1])
+            for i in remaining
+        ]
+
         def journal_outcome(pos: int, outcome) -> None:
-            if journal is None:
+            # A guard-truncated result is partial: like run_point's
+            # caches, the journal never records it as done, so a resumed
+            # sweep re-runs the point (from its snapshot).
+            if journal is None or _truncated(outcome):
                 return
             i = remaining[pos]
             coords = run_kwargs[i][0]
@@ -228,40 +237,24 @@ class Sweep:
             else:
                 journal.record_result(jkeys[i], coords, outcome)
 
-        if jobs is not None and jobs > 1 and len(remaining) > 1:
-            from repro.core.experiment import remember_point
-
-            points = [
-                (
-                    (run_kwargs[i][0]["workload"], run_kwargs[i][0]["key"]),
-                    run_kwargs[i][1],
-                )
-                for i in remaining
-            ]
-            outcomes = ParallelRunner(jobs).run_points(
-                points, progress=prog, on_outcome=journal_outcome
-            )
-            for i, ((workload, key), kwargs), outcome in zip(
-                remaining, points, outcomes
-            ):
-                combo = combos[i]
-                if isinstance(outcome, PointError):
-                    results.errors[tuple(combo)] = outcome
-                else:
-                    results.points[tuple(combo)] = outcome
-                    if kwargs.get("use_cache", True):
-                        memo_kwargs = {
-                            k: v for k, v in kwargs.items() if k != "use_cache"
-                        }
-                        remember_point(
-                            outcome, workload=workload, key=key, **memo_kwargs
-                        )
-            return results
-
-        for n, i in enumerate(remaining):
-            coords, kwargs = run_kwargs[i]
-            result = run_point(coords["workload"], coords["key"], **kwargs)
-            results.points[tuple(combos[i])] = result
-            journal_outcome(n, result)
-            _notify(prog, n + 1, len(remaining), last_point_source())
+        outcomes = ParallelRunner(jobs or 1).run_points(
+            points, progress=prog, on_outcome=journal_outcome
+        )
+        for i, ((workload, key), kwargs), outcome in zip(remaining, points, outcomes):
+            combo = tuple(combos[i])
+            if isinstance(outcome, PointError):
+                results.errors[combo] = outcome
+                continue
+            results.points[combo] = outcome
+            if kwargs.get("use_cache", True) and not _truncated(outcome):
+                memo_kwargs = {
+                    k: v for k, v in kwargs.items()
+                    if k not in ("use_cache", "resume_snapshot")
+                }
+                remember_point(outcome, workload=workload, key=key, **memo_kwargs)
         return results
+
+
+def _truncated(outcome) -> bool:
+    """Is this a resource-guard partial result (never journaled or memoised)?"""
+    return isinstance(outcome, SimulationResult) and bool(outcome.extra.get("truncated"))

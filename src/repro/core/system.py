@@ -153,39 +153,79 @@ class CMPSystem:
         resources see causally-ordered contention, mirroring how GEMS
         interleaves processors at cycle granularity.
 
-        When ``REPRO_SNAPSHOT_INTERVAL`` is set the run proceeds in
-        phases of that many events per core, snapshotting the complete
-        simulator state at every phase boundary
-        (:mod:`repro.core.snapshot`); a matching snapshot left behind by
-        an interrupted run is resumed automatically (``resume_snapshot``
-        forces or forbids the attempt).  Phase boundaries also check the
-        ``REPRO_DEADLINE`` / ``REPRO_MEM_LIMIT`` resource guards: a
-        breach returns a *partial* result (marked with a ``truncated``
-        extra) instead of dying, keeping the snapshot to resume from.
+        One phase loop runs every simulation.  A plain run is one warmup
+        phase and one measurement phase.  When ``REPRO_SNAPSHOT_INTERVAL``
+        is set the loop instead proceeds in phases of that many events
+        per core, snapshotting the complete simulator state at every
+        phase boundary (:mod:`repro.core.snapshot`); a matching snapshot
+        left behind by an interrupted run is resumed automatically
+        (``resume_snapshot`` forces or forbids the attempt).  Snapshotted
+        phase boundaries also check the ``REPRO_DEADLINE`` /
+        ``REPRO_MEM_LIMIT`` resource guards: a breach returns a
+        *partial* result (marked with a ``truncated`` extra) instead of
+        dying, keeping the snapshot to resume from.
         """
         if events_per_core <= 0:
             raise ValueError("events_per_core must be positive")
         if warmup_events is None:
             warmup_events = events_per_core // 2
+        name = config_name or self.config.describe()
         interval = _snapshot.snapshot_interval()
+        explicit = resume_snapshot is True or _snapshot.resume_requested()
         want_resume = resume_snapshot is True or (
-            resume_snapshot is None
-            and (interval > 0 or _snapshot.resume_requested())
+            resume_snapshot is None and (interval > 0 or explicit)
         )
+        manager: Optional[_snapshot.SnapshotManager] = None
+        warmup_done = 0
+        measure_done = 0
+        phase = 0
         if interval > 0 or want_resume:
-            return self._run_phased(
-                events_per_core, warmup_events, config_name, interval,
-                want_resume,
-                explicit=resume_snapshot is True or _snapshot.resume_requested(),
-            )
-        return self._run_plain(events_per_core, warmup_events, config_name)
+            if self.tracer is not None or self.sampler is not None:
+                raise ValueError(
+                    "snapshots do not support event tracing or interval metrics; "
+                    "unset REPRO_SNAPSHOT_INTERVAL for traced runs"
+                )
+            manager = _snapshot.SnapshotManager(_snapshot.run_key(
+                self.config, self.spec.name, self.seed, events_per_core, warmup_events
+            ))
+            restored = manager.load_latest() if want_resume else None
+            if restored is not None:
+                meta, state = restored
+                self._restore_state(state)
+                warmup_done = int(meta["warmup_done"])
+                measure_done = int(meta["measure_done"])
+                phase = int(meta["phase"])
+                # The phase length is part of the run's identity: the
+                # resumed half must hit the same boundaries as the
+                # uninterrupted run, or the results would diverge.
+                interval = int(meta["interval"])
+                self.resumed_from_phase = phase
+            elif explicit:
+                print("no matching snapshot found; starting clean", file=sys.stderr)
+            guard = _snapshot.ResourceGuard()
 
-    def _run_plain(
-        self,
-        events_per_core: int,
-        warmup_events: int,
-        config_name: Optional[str],
-    ) -> SimulationResult:
+        def boundary() -> Optional[SimulationResult]:
+            """Snapshot a finished phase; a truncated result on a guard
+            breach, else None.  A plain run has no boundaries."""
+            if manager is None:
+                return None
+            path = manager.save(self, {
+                "phase": phase,
+                "warmup_done": warmup_done,
+                "measure_done": measure_done,
+                "interval": interval,
+                "workload": self.spec.name,
+                "seed": self.seed,
+                "config_name": name,
+                "events_per_core": events_per_core,
+                "warmup_events": warmup_events,
+                "trace": self._trace is not None,
+            })
+            breach = guard.breach()
+            if breach is None:
+                return None
+            return self._truncated_result(name, warmup_done, measure_done, breach, path)
+
         t0 = time.perf_counter()
         tracer = self.tracer
         gc_threshold = None
@@ -203,21 +243,50 @@ class CMPSystem:
                 max(core.time for core in self.cores),
             )
         try:
-            if warmup_events:
-                self._run_events(warmup_events)
+            if warmup_events == 0 and phase == 0:
+                # Measurement always starts from reset stats, even with
+                # no warmup phase to end in a reset.
+                self.reset_stats()
+            while warmup_done < warmup_events:
+                step = warmup_events - warmup_done
+                if interval > 0:
+                    step = min(step, interval)
+                self._run_events(step)
+                warmup_done += step
+                if warmup_done >= warmup_events:
+                    # Reset *before* the boundary snapshot, so any snapshot
+                    # with warmup_done == warmup_events is post-reset and the
+                    # resume path never needs to re-reset.
+                    self.reset_stats()
+                phase += 1
+                truncated = boundary()
+                if truncated is not None:
+                    return truncated
             t1 = time.perf_counter()
-            self.reset_stats()
             if tracer is not None:
                 tracer.instant(
                     tracer.control_tid, "phase.measure",
                     max(core.time for core in self.cores),
                 )
-            self._run_events(events_per_core)
+            while measure_done < events_per_core:
+                step = events_per_core - measure_done
+                if interval > 0:
+                    step = min(step, interval)
+                self._run_events(step)
+                measure_done += step
+                phase += 1
+                if measure_done >= events_per_core:
+                    break  # complete: collect below, then drop the snapshots
+                truncated = boundary()
+                if truncated is not None:
+                    return truncated
         finally:
             if gc_threshold is not None:
                 gc.set_threshold(*gc_threshold)
         t2 = time.perf_counter()
-        result = self.collect(config_name or self.config.describe(), events_per_core)
+        result = self.collect(name, events_per_core)
+        if manager is not None:
+            manager.discard()
         measured = events_per_core * self.config.n_cores
         measure_wall = t2 - t1
         _telemetry.emit(
@@ -235,6 +304,8 @@ class CMPSystem:
             trace_events=len(tracer.events) if tracer is not None else 0,
             metrics_samples=self.sampler.samples if self.sampler is not None else 0,
             attribution=self.hierarchy.attribution is not None,
+            phases=phase,
+            resumed_phase=self.resumed_from_phase,
         )
         self._write_artifacts()
         return result
@@ -278,128 +349,6 @@ class CMPSystem:
         # The auditor is bound to the (replaced) hierarchy; rebuild it.
         if self.auditor is not None:
             self.auditor = _audit.Auditor(self.hierarchy, self._audit_layer.interval)
-
-    def _run_phased(
-        self,
-        events_per_core: int,
-        warmup_events: int,
-        config_name: Optional[str],
-        interval: int,
-        want_resume: bool,
-        explicit: bool,
-    ) -> SimulationResult:
-        if self.tracer is not None or self.sampler is not None:
-            raise ValueError(
-                "snapshots do not support event tracing or interval metrics; "
-                "unset REPRO_SNAPSHOT_INTERVAL for traced runs"
-            )
-        name = config_name or self.config.describe()
-        key = _snapshot.run_key(
-            self.config, self.spec.name, self.seed, events_per_core, warmup_events
-        )
-        manager = _snapshot.SnapshotManager(key)
-        warmup_done = 0
-        measure_done = 0
-        phase = 0
-        restored = None
-        if want_resume:
-            restored = manager.load_latest()
-            if restored is not None:
-                meta, state = restored
-                self._restore_state(state)
-                warmup_done = int(meta["warmup_done"])
-                measure_done = int(meta["measure_done"])
-                phase = int(meta["phase"])
-                # The phase length is part of the run's identity: the
-                # resumed half must hit the same boundaries as the
-                # uninterrupted run, or the results would diverge.
-                interval = int(meta["interval"])
-                self.resumed_from_phase = phase
-            elif explicit:
-                print(
-                    "no matching snapshot found; starting clean",
-                    file=sys.stderr,
-                )
-        guard = _snapshot.ResourceGuard()
-        t0 = time.perf_counter()
-
-        def checkpoint() -> Optional[str]:
-            return manager.save(self, {
-                "phase": phase,
-                "warmup_done": warmup_done,
-                "measure_done": measure_done,
-                "interval": interval,
-                "workload": self.spec.name,
-                "seed": self.seed,
-                "config_name": name,
-                "events_per_core": events_per_core,
-                "warmup_events": warmup_events,
-                "trace": self._trace is not None,
-            })
-
-        if warmup_events == 0 and measure_done == 0 and phase == 0:
-            # The plain path resets stats unconditionally before the
-            # measurement segment; mirror that for zero-warmup runs.
-            self.reset_stats()
-        while warmup_done < warmup_events:
-            step = warmup_events - warmup_done
-            if interval > 0:
-                step = min(step, interval)
-            self._run_events(step)
-            warmup_done += step
-            if warmup_done >= warmup_events:
-                # Reset *before* the boundary snapshot, so any snapshot
-                # with warmup_done == warmup_events is post-reset and the
-                # resume path never needs to re-reset.
-                self.reset_stats()
-            phase += 1
-            path = checkpoint()
-            breach = guard.breach()
-            if breach is not None:
-                return self._truncated_result(
-                    name, warmup_done, measure_done, breach, path
-                )
-        t1 = time.perf_counter()
-        while measure_done < events_per_core:
-            step = events_per_core - measure_done
-            if interval > 0:
-                step = min(step, interval)
-            self._run_events(step)
-            measure_done += step
-            phase += 1
-            if measure_done >= events_per_core:
-                break  # complete: collect below, then drop the snapshots
-            path = checkpoint()
-            breach = guard.breach()
-            if breach is not None:
-                return self._truncated_result(
-                    name, warmup_done, measure_done, breach, path
-                )
-        t2 = time.perf_counter()
-        result = self.collect(name, events_per_core)
-        manager.discard()
-        measured = events_per_core * self.config.n_cores
-        measure_wall = t2 - t1
-        _telemetry.emit(
-            "simulate",
-            workload=self.spec.name,
-            config=self.config.describe(),
-            seed=self.seed,
-            events=measured,
-            warmup_events=warmup_events * self.config.n_cores,
-            warmup_wall_s=t1 - t0,
-            measure_wall_s=measure_wall,
-            wall_s=t2 - t0,
-            events_per_sec=(measured / measure_wall) if measure_wall > 0 else 0.0,
-            audit_checks=self.auditor.checks_run if self.auditor is not None else 0,
-            trace_events=0,
-            metrics_samples=0,
-            attribution=self.hierarchy.attribution is not None,
-            phases=phase,
-            resumed_phase=self.resumed_from_phase,
-        )
-        self._write_artifacts()
-        return result
 
     def _truncated_result(
         self,

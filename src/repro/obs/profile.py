@@ -184,27 +184,19 @@ def profile_point(
     system = CMPSystem(config, workload, seed=seed)
     total_events = (events + warmup) * n_cores
 
+    profiler = cProfile.Profile() if engine == "cprofile" else StackSampler()
     t0 = time.perf_counter()
-    if engine == "cprofile":
-        profiler = cProfile.Profile()
-        profiler.enable()
+    with profiler:
         if warmup:
             system._run_events(warmup)
         t1 = time.perf_counter()
         system.reset_stats()
         system._run_events(events)
-        profiler.disable()
-        t2 = time.perf_counter()
+    t2 = time.perf_counter()
+    if engine == "cprofile":
         components = _components_from_pstats(pstats.Stats(profiler))
     else:
-        with StackSampler() as sampler:
-            if warmup:
-                system._run_events(warmup)
-            t1 = time.perf_counter()
-            system.reset_stats()
-            system._run_events(events)
-        t2 = time.perf_counter()
-        components = sampler.components(t2 - t0)
+        components = profiler.components(t2 - t0)
     wall = t2 - t0
     return ProfileReport(
         workload=workload,

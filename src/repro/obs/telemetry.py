@@ -18,8 +18,11 @@ Record shape (all records)::
 
 Kinds emitted by the simulator stack:
 
-* ``simulate`` — one per :meth:`CMPSystem.run`: workload, config
-  description, per-phase wall seconds, events/sec, audit check count;
+* ``simulate`` — one per completed :meth:`CMPSystem.run`: workload,
+  config description, warmup/measure wall seconds, events/sec, audit
+  check count, trace event and metrics sample counts, ``phases`` (the
+  phase count: 2 for a plain run with warmup) and ``resumed_phase`` (the
+  snapshot phase resumed from, or null);
 * ``point`` — one per :func:`repro.core.experiment.run_point`: workload,
   config key, where the result came from (``memo`` / ``disk`` / ``sim``),
   the point's cache key, wall seconds;

@@ -11,10 +11,9 @@ from repro.core.experiment import (
     default_scale,
     default_seeds,
     make_config,
-    run_matrix,
     run_point,
-    run_seeds,
 )
+from repro.core.sweep import Sweep
 
 
 class TestConfigMatrix:
@@ -73,14 +72,16 @@ class TestRunHelpers:
         c = run_point("zeus", "base", events=200, warmup=50, scale=16, n_cores=2, use_cache=False)
         assert c is not a
 
-    def test_run_seeds_count(self):
+    def test_seed_dimension_count(self):
         clear_cache()
-        results = run_seeds("zeus", "base", seeds=2, events=150, warmup=50, scale=16, n_cores=2)
+        sweep = Sweep().dimension("workload", ["zeus"]).dimension("seed", [0, 1])
+        results = sweep.run(events=150, warmup=50, scale=16, n_cores=2)
         assert len(results) == 2
-        assert results[0].seed == 0 and results[1].seed == 1
+        assert [r.seed for _c, r in results.slice(workload="zeus")] == [0, 1]
 
-    def test_run_matrix_keys(self):
+    def test_sweep_grid_keys(self):
         clear_cache()
-        out = run_matrix(["zeus"], ["base", "pref"], events=150, warmup=50, scale=16, n_cores=2)
-        assert set(out) == {("zeus", "base"), ("zeus", "pref")}
+        sweep = Sweep().dimension("workload", ["zeus"]).dimension("key", ["base", "pref"])
+        out = sweep.run(events=150, warmup=50, scale=16, n_cores=2)
+        assert set(out.points) == {("zeus", "base"), ("zeus", "pref")}
         clear_cache()

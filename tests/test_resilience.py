@@ -20,6 +20,7 @@ import pytest
 from repro import faults
 from repro.cli import main
 from repro.core import runner as runner_mod
+from repro.core import snapshot as snap
 from repro.core.checkpoint import SweepJournal
 from repro.core.diskcache import DiskCache
 from repro.core import diskcache as diskcache_mod
@@ -374,6 +375,37 @@ class TestKillAndResume:
         final = sweep2.run(jobs=2, journal=resumed, **FAST, use_cache=False)
         resumed.close()
         assert len(final.points) == 2 and not final.errors
+
+    def test_truncated_points_are_not_journaled(self, monkeypatch, tmp_path):
+        """A guard-truncated point is partial: the journal must not serve
+        it as done, so --resume continues it from its snapshot."""
+        monkeypatch.setenv("REPRO_CACHE", "0")
+        monkeypatch.setenv(snap.ENV_DIR, str(tmp_path / "snaps"))
+        monkeypatch.setenv(snap.ENV_INTERVAL, "100")
+        for var in (snap.ENV_RESUME, snap.ENV_DEADLINE, snap.ENV_MEM_LIMIT):
+            monkeypatch.delenv(var, raising=False)
+        clear_cache()
+        clean = _sweep().run(jobs=1, **FAST, use_cache=False)
+        expected = {k: result_fingerprint(v) for k, v in clean.points.items()}
+
+        path = str(tmp_path / "journal.jsonl")
+        monkeypatch.setenv(snap.ENV_DEADLINE, "0")
+        journal = SweepJournal(path, resume=False)
+        partial = _sweep().run(jobs=1, journal=journal, **FAST, use_cache=False)
+        journal.close()
+        assert len(partial.points) == 4
+        assert all(r.extra.get("truncated") for r in partial.points.values())
+
+        monkeypatch.delenv(snap.ENV_DEADLINE)
+        resumed = SweepJournal(path, resume=True)
+        assert resumed.completed_count() == 0
+        tele = str(tmp_path / "resume.jsonl")
+        monkeypatch.setenv("REPRO_TELEMETRY", tele)
+        final = _sweep().run(jobs=1, journal=resumed, **FAST, use_cache=False)
+        resumed.close()
+        assert {k: result_fingerprint(v) for k, v in final.points.items()} == expected
+        sources = [r["source"] for r in read_records(tele) if r["kind"] == "point"]
+        assert sources == ["snapshot"] * 4
 
 
 class TestCLIResilience:

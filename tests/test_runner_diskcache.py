@@ -20,9 +20,7 @@ from repro.core.experiment import (
     clear_cache,
     default_memo_cap,
     point_cache_key,
-    run_matrix,
     run_point,
-    run_seeds,
 )
 from repro.core.runner import ParallelRunner, PointError, default_jobs
 from repro.core.sweep import Sweep
@@ -183,25 +181,33 @@ class TestParallelRunner:
 
     def test_parallel_warm_cache_second_pass(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+
+        def build():
+            return Sweep().dimension("workload", ["zeus"]).dimension("key", ["base", "pref"])
+
         clear_cache()
-        first = run_matrix(["zeus"], ["base", "pref"], jobs=2, **FAST)
+        first = build().run(**FAST_SWEEP, jobs=2)
         entries = DiskCache().stats()["entries"]
         assert entries == 2
         clear_cache()  # drop the memo; the disk cache must serve everything
-        second = run_matrix(["zeus"], ["base", "pref"], **FAST)
+        second = build().run(**FAST_SWEEP)
         assert DiskCache().stats()["entries"] == entries  # no new simulations
-        for key in first:
-            assert _same_result(first[key], second[key])
+        for key in first.points:
+            assert _same_result(first.points[key], second.points[key])
 
-    def test_run_seeds_parallel(self, tmp_path, monkeypatch):
+    def test_seed_dimension_parallel(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+
+        def build():
+            return Sweep().dimension("workload", ["zeus"]).dimension("seed", [0, 1])
+
         clear_cache()
-        serial = run_seeds("zeus", "base", seeds=2, **FAST)
+        serial = build().run(**FAST_SWEEP)
         clear_cache(disk=True)
-        parallel = run_seeds("zeus", "base", seeds=2, jobs=2, **FAST)
-        assert [r.seed for r in parallel] == [0, 1]
-        for a, b in zip(serial, parallel):
-            assert _same_result(a, b)
+        parallel = build().run(**FAST_SWEEP, jobs=2)
+        assert [r.seed for r in parallel.points.values()] == [0, 1]
+        for key in serial.points:
+            assert _same_result(serial.points[key], parallel.points[key])
 
     def test_error_captured_per_point(self):
         runner = ParallelRunner(jobs=2)
@@ -216,7 +222,10 @@ class TestParallelRunner:
         assert "KeyError" in outcomes[1].error
         assert outcomes[1].traceback
 
-    def test_sweep_records_errors_without_aborting(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_sweep_records_errors_without_aborting(self, tmp_path, monkeypatch, jobs):
+        """Serial and parallel sweeps share one runner, so both capture a
+        failing point as a PointError."""
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         clear_cache()
         sweep = (
@@ -224,7 +233,7 @@ class TestParallelRunner:
             .dimension("workload", ["zeus"])
             .dimension("key", ["base", "no_such_config"])
         )
-        results = sweep.run(**FAST_SWEEP, jobs=2)
+        results = sweep.run(**FAST_SWEEP, jobs=jobs)
         assert len(results.points) == 1
         assert len(results.errors) == 1
         ((bad_key, error),) = results.errors.items()

@@ -286,7 +286,13 @@ class TestKillAndResumeCLI:
             "--warmup", "300", "--scale", "16", "--cores", "2",
             "--seed", "3", "--snapshot-interval", "150", "--json"]
 
-    def _cli(self, tmp_path, *, faults=None, resume=False, deadline=None):
+    SWEEP_ARGS = ["sweep", "--workloads", "oltp", "--configs", "base,pref",
+                  "--events", "600", "--warmup", "300", "--scale", "16",
+                  "--cores", "2", "--seed", "3", "--snapshot-interval", "150",
+                  "--quiet", "--csv"]
+
+    def _cli(self, tmp_path, *, faults=None, resume=False, deadline=None,
+             args=None):
         env = dict(os.environ)
         src = str(Path(__file__).resolve().parents[1] / "src")
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
@@ -299,7 +305,7 @@ class TestKillAndResumeCLI:
             env["REPRO_FAULTS"] = faults
         if deadline is not None:
             env["REPRO_DEADLINE"] = deadline
-        args = list(self.ARGS) + (["--resume-snapshot"] if resume else [])
+        args = list(args or self.ARGS) + (["--resume-snapshot"] if resume else [])
         return subprocess.run(
             [sys.executable, "-m", "repro", *args],
             capture_output=True, text=True, env=env, cwd=str(tmp_path),
@@ -350,3 +356,17 @@ class TestKillAndResumeCLI:
         resumed = self._cli(tmp_path, resume=True)
         assert resumed.returncode == 0, resumed.stderr
         assert json.loads(resumed.stdout) == json.loads(uninterrupted_json)
+
+    def test_sweep_deadline_exit_code_3_then_resume(self, tmp_path):
+        """repro sweep flags guard-truncated points with exit 3, like
+        repro run; --resume then finishes them from their snapshots."""
+        clean_dir = tmp_path / "clean"
+        clean_dir.mkdir()
+        clean = self._cli(clean_dir, args=self.SWEEP_ARGS)
+        assert clean.returncode == 0, clean.stderr
+        proc = self._cli(tmp_path, deadline="0", args=self.SWEEP_ARGS)
+        assert proc.returncode == 3, (proc.stdout, proc.stderr)
+        assert "exit 3: partial result" in proc.stderr
+        resumed = self._cli(tmp_path, args=self.SWEEP_ARGS + ["--resume"])
+        assert resumed.returncode == 0, resumed.stderr
+        assert resumed.stdout == clean.stdout

@@ -41,6 +41,18 @@ class TestBuilder:
 
 
 class TestRun:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_run_point_only_arguments_pass_through(self, jobs):
+        """Arguments run_point takes but the memo key does not (here
+        resume_snapshot) reach every point at any job count."""
+        results = (
+            Sweep()
+            .dimension("workload", ["zeus"])
+            .dimension("key", ["base", "pref"])
+            .run(**FAST, jobs=jobs, resume_snapshot=False)
+        )
+        assert len(results) == 2 and not results.errors
+
     def test_full_grid(self):
         results = (
             Sweep()
