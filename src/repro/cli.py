@@ -31,9 +31,12 @@ from __future__ import annotations
 
 import argparse
 import os
+import signal
 import sys
-from typing import List, Optional
+from contextlib import contextmanager
+from typing import Iterator, List, Optional
 
+from repro.core.diskcache import DiskCache, cache_enabled, default_cache_dir
 from repro.core.experiment import CONFIG_FEATURES, make_config, run_point
 from repro.core.interaction import InteractionBreakdown
 from repro.core.results import SimulationResult
@@ -139,16 +142,51 @@ def cmd_run(args) -> int:
     return _finish_run(result)
 
 
+@contextmanager
+def resume_guard(resume_command: str, stream=None) -> Iterator[None]:
+    """For the duration of a sweep, answer SIGINT/SIGTERM with the exact
+    command that resumes it, then let the usual interrupt/terminate
+    control flow proceed (exit 130/143).  Every finished point is
+    already durable in the disk cache, so there is nothing to flush.
+
+    Outside the main thread, or where signals are unavailable, it is a
+    no-op context.
+    """
+    out = stream if stream is not None else sys.stderr
+
+    def _handler(signum, _frame):
+        print(f"\ninterrupted: finished points are stored in {default_cache_dir()}",
+              file=out)
+        print(f"resume with:\n  {resume_command}", file=out)
+        if signum == getattr(signal, "SIGTERM", None):
+            raise SystemExit(143)
+        raise KeyboardInterrupt
+
+    previous = {}
+    try:
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            try:
+                previous[signum] = signal.signal(signum, _handler)
+            except (ValueError, OSError):  # not the main thread / unsupported
+                pass
+        yield
+    finally:
+        for signum, old in previous.items():
+            try:
+                signal.signal(signum, old)
+            except (ValueError, OSError):
+                pass
+
+
 def cmd_sweep(args) -> int:
     _apply_snapshot_args(args)
-    from repro.core.checkpoint import (
-        SweepJournal,
-        default_journal_path,
-        resume_guard,
-        sweep_spec_key,
-    )
     from repro.core.sweep import Sweep
 
+    if args.resume and not cache_enabled():
+        raise ValueError(
+            "--resume serves finished points from the disk cache, "
+            "which REPRO_CACHE=0 turns off"
+        )
     workloads = args.workloads.split(",") if args.workloads else all_names()
     keys = args.configs.split(",")
     coords = [(w, k) for w in workloads for k in keys]
@@ -158,6 +196,8 @@ def cmd_sweep(args) -> int:
         from repro.obs.progress import default_progress
 
         progress = default_progress()
+    # Every point simulates unless --resume lets the ones already in the
+    # disk cache be served; either way each is stored as it finishes.
     run_kwargs = dict(
         seed=args.seed,
         events=args.events,
@@ -166,22 +206,8 @@ def cmd_sweep(args) -> int:
         scale=args.scale,
         bandwidth_gbs=args.bandwidth or None,
         infinite_bandwidth=args.bandwidth == 0,
-        use_cache=False,
+        use_cache=args.resume,
     )
-    # Checkpoint journal: on by default for multi-point sweeps, so a
-    # killed sweep can always be resumed with --resume.
-    journal = None
-    if not args.no_journal and len(coords) > 1:
-        path = args.journal or default_journal_path(
-            sweep_spec_key(workloads=workloads, configs=keys, **run_kwargs)
-        )
-        journal = SweepJournal(path, resume=args.resume)
-        if args.resume and journal.completed_count():
-            print(
-                f"resuming: {journal.completed_count()} completed point(s) "
-                f"loaded from {path}",
-                file=sys.stderr,
-            )
     resume_command = "python -m repro " + " ".join(sys.argv[1:] if sys.argv else [])
     if "--resume" not in resume_command:
         resume_command += " --resume"
@@ -192,14 +218,8 @@ def cmd_sweep(args) -> int:
         jobs = default_jobs()  # validates REPRO_JOBS with a readable error
     else:
         jobs = args.jobs
-    try:
-        with resume_guard(journal, resume_command):
-            results = sweep.run(
-                jobs=jobs, progress=progress, journal=journal, **run_kwargs
-            )
-    finally:
-        if journal is not None:
-            journal.close()
+    with resume_guard(resume_command):
+        results = sweep.run(jobs=jobs, progress=progress, **run_kwargs)
     ordered = []
     failed = 0
     for w, k in coords:
@@ -219,8 +239,6 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_cache(args) -> int:
-    from repro.core.diskcache import DiskCache
-
     store = DiskCache()
     if args.action == "clear":
         removed = store.clear()
@@ -541,8 +559,6 @@ def cmd_telemetry(args) -> int:
         if any(resilience.values()):
             print("resilience:     "
                   + ", ".join(f"{k}={v}" for k, v in resilience.items() if v))
-    if summary["journal_loaded"]:
-        print(f"journal loaded: {summary['journal_loaded']} point(s) resumed")
     if summary["snapshot_actions"]:
         actions = ", ".join(
             f"{k}={v}" for k, v in sorted(summary["snapshot_actions"].items())
@@ -846,13 +862,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quiet", action="store_true",
                    help="suppress the live progress line on stderr")
     p.add_argument("--resume", action="store_true",
-                   help="resume from this sweep's checkpoint journal, "
-                        "re-simulating only points it does not hold")
-    p.add_argument("--journal", default="",
-                   help="checkpoint journal path (default: derived from the "
-                        "sweep spec under REPRO_SWEEP_DIR/.repro_sweep/)")
-    p.add_argument("--no-journal", action="store_true",
-                   help="disable checkpointing for this sweep")
+                   help="serve the points already in the disk cache (left "
+                        "by an interrupted run) and simulate only the rest")
     _add_run_args(p)
     _add_snapshot_args(p)
     p.set_defaults(func=cmd_sweep)

@@ -15,7 +15,6 @@ from repro.core.experiment import (
     make_config,
     run_point,
 )
-from repro.core.checkpoint import SweepJournal
 from repro.core.diskcache import DiskCache
 from repro.core.runner import ParallelRunner, PointError
 from repro.core.sweep import Sweep, SweepResults
@@ -40,7 +39,6 @@ __all__ = [
     "ParallelRunner",
     "PointError",
     "Sweep",
-    "SweepJournal",
     "SweepResults",
     "CycleBreakdown",
     "analyze",

@@ -4,9 +4,15 @@ Simulation points are pure functions of (system configuration, workload,
 seed, event counts), so their results can be stored content-addressed
 and reused across processes — a warm sweep in a fresh interpreter does
 no simulation at all.  Keys are a SHA-256 over the canonical JSON of the
-full :class:`~repro.params.SystemConfig` plus the run parameters and a
-format version, so *any* config change (including future fields) yields
-a different key rather than a stale hit.
+full :class:`~repro.params.SystemConfig` plus the run parameters, a
+format version and the model version (:func:`model_version`, a hash of
+the simulator's own source), so *any* config change (including future
+fields) or model code change yields a different key rather than a stale
+hit.
+
+The cache is also the checkpoint of ``repro sweep``: every complete
+result is stored the moment it is computed, and ``repro sweep --resume``
+serves the points already stored and simulates only the rest.
 
 Layout: ``<root>/<key[:2]>/<key>.json``, one result per file wrapping
 the full-fidelity form of :func:`repro.report.export.result_to_full_dict`
@@ -14,9 +20,10 @@ in an integrity envelope::
 
     {"checksum": "<sha256 of the canonical result JSON>", "result": {...}}
 
-Writes are atomic (temp file + ``os.replace``), so concurrent writers —
-e.g. :class:`repro.core.runner.ParallelRunner` workers — at worst both
-compute the same point and one rename wins.
+Writes are atomic and durable (temp file, ``fsync``, ``os.replace``), so
+a process killed at any moment leaves either the whole entry or none,
+and concurrent writers — e.g. :class:`repro.core.runner.ParallelRunner`
+workers — at worst both compute the same point and one rename wins.
 
 The cache is *self-healing*: an entry that fails to parse or whose
 checksum does not match (torn write, disk corruption, an injected
@@ -40,6 +47,7 @@ import json
 import os
 import time
 from dataclasses import asdict
+from pathlib import Path
 from typing import Dict, Optional
 
 from repro import faults, knobs
@@ -76,6 +84,41 @@ def default_cache_dir() -> str:
     return knobs.text("REPRO_CACHE_DIR", DEFAULT_CACHE_DIR)
 
 
+#: Parts of the package that cannot change a simulated result: they are
+#: left out of :func:`model_version`.
+NON_MODEL_SOURCES = ("obs", "report", "verify", "faults", "cli.py", "knobs.py")
+
+_PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+_MODEL_VERSION: Optional[str] = None
+
+
+def source_digest(root: str) -> str:
+    """One SHA-256 over the sorted relative paths and bytes of every
+    ``.py`` file under ``root``, except :data:`NON_MODEL_SOURCES`."""
+    base = Path(root)
+    files = sorted(
+        path.relative_to(base).as_posix() for path in base.rglob("*.py")
+        if path.relative_to(base).parts[0] not in NON_MODEL_SOURCES
+    )
+    digest = hashlib.sha256()
+    for rel in files:
+        data = (base / rel).read_bytes()
+        digest.update(f"{rel}\0{len(data)}\0".encode("utf-8"))
+        digest.update(data)
+    return digest.hexdigest()
+
+
+def model_version() -> str:
+    """The version of the model code: :func:`source_digest` of this
+    package, computed once per process.  Part of every :func:`point_key`,
+    so a result or snapshot written by other model code is never found."""
+    global _MODEL_VERSION
+    if _MODEL_VERSION is None:
+        _MODEL_VERSION = source_digest(_PACKAGE_ROOT)
+    return _MODEL_VERSION
+
+
 def point_key(
     config: SystemConfig,
     workload: str,
@@ -83,7 +126,8 @@ def point_key(
     events: int,
     warmup: int,
 ) -> str:
-    """Stable content hash identifying one simulation point.
+    """Stable content hash identifying one simulation point, under the
+    current :func:`model_version`.
 
     Observability knobs (auditing, tracing, metrics, attribution) are
     stripped from the hashed config: they never change simulation
@@ -101,6 +145,7 @@ def point_key(
     payload = {
         "format": CACHE_FORMAT_VERSION,
         "schema": RESULT_SCHEMA_VERSION,
+        "model": model_version(),
         "workload": workload,
         "seed": seed,
         "events": events,
@@ -185,7 +230,7 @@ class DiskCache:
         return result
 
     def put(self, key: str, result: SimulationResult) -> None:
-        """Store a result atomically; failures are swallowed (the cache
+        """Store a result atomically and durably; failures are swallowed (the cache
         is an accelerator, not a correctness dependency) but recorded as
         a telemetry-visible ``store-failed`` outcome, and the temp file
         is always cleaned up — serialization errors (``TypeError`` /
@@ -219,6 +264,8 @@ class DiskCache:
             )
             with open(tmp, "w", encoding="utf-8") as fh:
                 fh.write(blob)
+                fh.flush()
+                os.fsync(fh.fileno())
             os.replace(tmp, path)
             _telemetry.emit("diskcache", outcome="store", key=key)
         except (OSError, TypeError, ValueError) as exc:

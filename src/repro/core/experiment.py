@@ -166,14 +166,17 @@ def run_point(
     """Run one (workload, config) data point.
 
     Lookup order: in-process memo, then the persistent disk cache, then
-    simulate (and populate both).  ``use_cache=False`` bypasses all
-    caching in both directions.
+    simulate.  ``use_cache`` only decides whether a stored result may be
+    served: ``use_cache=False`` always simulates.  Either way a complete
+    result is stored in the memo and, unless ``REPRO_CACHE=0``, on disk
+    the moment it is computed, which is what ``repro sweep --resume``
+    reads back.
 
     ``resume_snapshot`` forwards to :meth:`CMPSystem.run`: ``True``
     resumes from a matching mid-run snapshot if one exists, ``False``
     never does, ``None`` (default) follows ``REPRO_SNAPSHOT_INTERVAL`` /
     ``REPRO_RESUME_SNAPSHOT``.  A run truncated by a resource guard
-    (``result.extra["truncated"]``) is returned but never cached — a
+    (``result.extra["truncated"]``) is returned but never stored — a
     partial result must not shadow the eventual complete one.
     """
     events = events if events is not None else default_events()
@@ -195,12 +198,11 @@ def run_point(
         bandwidth_gbs=bandwidth_gbs,
         infinite_bandwidth=infinite_bandwidth,
     )
-    disk = use_cache and diskcache.cache_enabled()
+    store = diskcache.DiskCache() if diskcache.cache_enabled() else None
     disk_key = None
-    if disk:
+    if store is not None:
         disk_key = diskcache.point_key(config, workload, seed, events, warmup)
-        store = diskcache.DiskCache()
-        result = store.get(disk_key)
+        result = store.get(disk_key) if use_cache else None
         if result is not None:
             _memo_put(cache_key, result)
             _emit_point(workload, key, seed, "disk", disk_key, t0)
@@ -210,10 +212,9 @@ def run_point(
         events, warmup_events=warmup, config_name=key,
         resume_snapshot=resume_snapshot,
     )
-    truncated = bool(result.extra.get("truncated"))
-    if use_cache and not truncated:
+    if not result.extra.get("truncated"):
         _memo_put(cache_key, result)
-        if disk:
+        if store is not None:
             store.put(disk_key, result)
     source = "snapshot" if system.resumed_from_phase is not None else "sim"
     _emit_point(workload, key, seed, source, disk_key, t0)

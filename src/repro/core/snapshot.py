@@ -299,7 +299,9 @@ def read_snapshot(path: str) -> Tuple[Dict[str, Any], Dict[str, Any]]:
 def run_key(config, workload: str, seed: int, events: int, warmup: int) -> str:
     """Stable identity of one long run — everything that changes the
     result, nothing that only changes execution.  Reuses the disk
-    cache's key derivation, which strips the observability knobs."""
+    cache's key derivation, which strips the observability knobs and
+    includes the model version: a snapshot chain written by other model
+    code is never found, so the run starts clean."""
     from repro.core import diskcache
 
     return diskcache.point_key(config, workload, seed, events, warmup)

@@ -23,10 +23,9 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core import checkpoint
 from repro.core.experiment import remember_point
 from repro.core.results import SimulationResult
-from repro.core.runner import ParallelRunner, PointError, _notify
+from repro.core.runner import ParallelRunner, PointError
 from repro.report.tables import Table
 
 #: Metrics extractable from a result by name.
@@ -101,31 +100,6 @@ class SweepResults:
         return table
 
 
-class _OffsetProgress:
-    """Adapter that re-bases a runner's subset progress onto the full
-    grid when a resumed sweep skips journal-completed points."""
-
-    def __init__(self, inner, offset: int, total: int) -> None:
-        self.inner = inner
-        self.offset = offset
-        self.total = total
-
-    def point_done(self, done: int, _total: int, source=None) -> None:
-        hook = getattr(self.inner, "point_done", None)
-        if hook is not None:
-            hook(done + self.offset, self.total, source=source)
-        else:
-            self.inner(done + self.offset, self.total)
-
-    def event(self, kind: str) -> None:
-        hook = getattr(self.inner, "event", None)
-        if hook is not None:
-            hook(kind)
-
-    def __call__(self, done: int, total: int) -> None:
-        self.point_done(done, total)
-
-
 class Sweep:
     """Factorial sweep builder over run_point's parameter space."""
 
@@ -157,7 +131,6 @@ class Sweep:
         warmup: Optional[int] = None,
         jobs: Optional[int] = None,
         progress: Optional[Callable[[int, int], None]] = None,
-        journal: Optional["checkpoint.SweepJournal"] = None,
         **fixed_kwargs,
     ) -> SweepResults:
         """Simulate every grid point (cached via run_point's memo and the
@@ -170,12 +143,9 @@ class Sweep:
         point that raises is recorded in :attr:`SweepResults.errors`
         instead of aborting the sweep.
 
-        ``journal`` checkpoints every completed point crash-safely (see
-        :class:`repro.core.checkpoint.SweepJournal`): points the journal
-        already holds are loaded bit-identically instead of re-simulated
-        (their progress source reads ``journal``), and every new outcome
-        is journaled the moment it is final — so a sweep killed at any
-        point resumes where it stopped.
+        Each complete point is stored in the disk cache as it finishes
+        and remembered in this process's memo, so a sweep killed at any
+        point resumes where it stopped when rerun with ``use_cache=True``.
         """
         if "workload" not in self._dims:
             raise ValueError("a sweep needs a 'workload' dimension")
@@ -183,9 +153,8 @@ class Sweep:
             self._dims["key"] = ["base"]
         names = list(self._dims)
         results = SweepResults(dimensions=names)
-        total = self.size
         combos = list(itertools.product(*self._dims.values()))
-        run_kwargs = []
+        points = []
         for combo in combos:
             coords = dict(zip(names, combo))
             kwargs = {k: v for k, v in coords.items() if k not in self.SPECIAL}
@@ -194,67 +163,20 @@ class Sweep:
             # call-level arguments only fill the gaps.
             kwargs.setdefault("events", events)
             kwargs.setdefault("warmup", warmup)
-            run_kwargs.append((coords, kwargs))
+            points.append(((coords["workload"], coords["key"]), kwargs))
 
-        # Seed already-completed points from the checkpoint journal.
-        jkeys: Optional[List[str]] = None
-        skipped: List[int] = []
-        if journal is not None:
-            jkeys = [
-                checkpoint.point_journal_key(coords, kwargs)
-                for coords, kwargs in run_kwargs
-            ]
-            for i, combo in enumerate(combos):
-                restored = journal.result_for(jkeys[i])
-                if restored is not None:
-                    results.points[tuple(combo)] = restored
-                    skipped.append(i)
-            for n, _i in enumerate(skipped):
-                _notify(progress, n + 1, total, "journal")
-        done = set(skipped)
-        remaining = [i for i in range(total) if i not in done]
-        if not remaining:
-            return results
-        prog = progress
-        if progress is not None and skipped:
-            prog = _OffsetProgress(progress, len(skipped), total)
-
-        points = [
-            ((run_kwargs[i][0]["workload"], run_kwargs[i][0]["key"]), run_kwargs[i][1])
-            for i in remaining
-        ]
-
-        def journal_outcome(pos: int, outcome) -> None:
-            # A guard-truncated result is partial: like run_point's
-            # caches, the journal never records it as done, so a resumed
-            # sweep re-runs the point (from its snapshot).
-            if journal is None or _truncated(outcome):
-                return
-            i = remaining[pos]
-            coords = run_kwargs[i][0]
-            if isinstance(outcome, PointError):
-                journal.record_error(jkeys[i], coords, outcome)
-            else:
-                journal.record_result(jkeys[i], coords, outcome)
-
-        outcomes = ParallelRunner(jobs or 1).run_points(
-            points, progress=prog, on_outcome=journal_outcome
-        )
-        for i, ((workload, key), kwargs), outcome in zip(remaining, points, outcomes):
-            combo = tuple(combos[i])
+        outcomes = ParallelRunner(jobs or 1).run_points(points, progress=progress)
+        for combo, ((workload, key), kwargs), outcome in zip(combos, points, outcomes):
             if isinstance(outcome, PointError):
                 results.errors[combo] = outcome
                 continue
             results.points[combo] = outcome
-            if kwargs.get("use_cache", True) and not _truncated(outcome):
+            # A guard-truncated result is partial: like run_point, never
+            # remember it, so a rerun continues it from its snapshot.
+            if not outcome.extra.get("truncated"):
                 memo_kwargs = {
                     k: v for k, v in kwargs.items()
                     if k not in ("use_cache", "resume_snapshot")
                 }
                 remember_point(outcome, workload=workload, key=key, **memo_kwargs)
         return results
-
-
-def _truncated(outcome) -> bool:
-    """Is this a resource-guard partial result (never journaled or memoised)?"""
-    return isinstance(outcome, SimulationResult) and bool(outcome.extra.get("truncated"))

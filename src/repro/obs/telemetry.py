@@ -24,8 +24,9 @@ Kinds emitted by the simulator stack:
   phase count: 2 for a plain run with warmup) and ``resumed_phase`` (the
   snapshot phase resumed from, or null);
 * ``point`` — one per :func:`repro.core.experiment.run_point`: workload,
-  config key, where the result came from (``memo`` / ``disk`` / ``sim``),
-  the point's cache key, wall seconds;
+  config key, where the result came from (``memo`` / ``disk`` / ``sim`` /
+  ``snapshot``; a point served by ``repro sweep --resume`` reads
+  ``disk``), the point's cache key, wall seconds;
 * ``diskcache`` — one per disk-cache probe/store: hit / miss / store,
   plus the resilience outcomes ``corrupt`` (entry quarantined) and
   ``store-failed`` (serialization or I/O failure on write);
@@ -45,8 +46,6 @@ Kinds emitted by the simulator stack:
 * ``guard`` — one per resource-guard breach (``REPRO_DEADLINE`` /
   ``REPRO_MEM_LIMIT``): the reason, progress counters and the snapshot
   left behind to resume from;
-* ``journal`` — one per checkpointed sweep: journal path, points loaded
-  on resume, points recorded;
 * ``matrix-point`` — one per simulated interaction-matrix point
   (:func:`repro.report.matrix.run_matrix`): workload, prefetcher,
   scheme, runtime, done/total progress;
@@ -182,7 +181,6 @@ def summarize(records: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
     sweep_restarts = 0
     sweep_timeouts = 0
     sweep_quarantines = 0
-    journal_loaded = 0
     snapshot_actions: Dict[str, int] = {}
     guard_breaches = 0
     for record in records:
@@ -209,8 +207,6 @@ def summarize(records: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
             sweep_restarts += int(record.get("restarts", 0))
             sweep_timeouts += int(record.get("timeouts", 0))
             sweep_quarantines += int(record.get("quarantines", 0))
-        elif kind == "journal":
-            journal_loaded += int(record.get("loaded", 0))
         elif kind == "snapshot":
             action = str(record.get("action", "?"))
             snapshot_actions[action] = snapshot_actions.get(action, 0) + 1
@@ -234,7 +230,6 @@ def summarize(records: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
         "sweep_restarts": sweep_restarts,
         "sweep_timeouts": sweep_timeouts,
         "sweep_quarantines": sweep_quarantines,
-        "journal_loaded": journal_loaded,
         "snapshot_actions": snapshot_actions,
         "guard_breaches": guard_breaches,
     }

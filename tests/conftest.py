@@ -9,17 +9,21 @@ from repro.params import CacheConfig, L2Config, LinkConfig, MemoryConfig, Prefet
 
 @pytest.fixture(autouse=True, scope="session")
 def _isolated_disk_cache(tmp_path_factory):
-    """Point the on-disk result cache at a per-session temp dir so test
-    runs neither read stale results from the working tree nor litter it."""
+    """Point the on-disk result cache and the snapshot directory at
+    per-session temp dirs so test runs neither read stale results from
+    the working tree nor litter it."""
     import os
 
-    old = os.environ.get("REPRO_CACHE_DIR")
-    os.environ["REPRO_CACHE_DIR"] = str(tmp_path_factory.mktemp("repro_cache"))
+    dirs = {"REPRO_CACHE_DIR": "repro_cache", "REPRO_SNAPSHOT_DIR": "repro_snapshots"}
+    old = {name: os.environ.get(name) for name in dirs}
+    for name, prefix in dirs.items():
+        os.environ[name] = str(tmp_path_factory.mktemp(prefix))
     yield
-    if old is None:
-        os.environ.pop("REPRO_CACHE_DIR", None)
-    else:
-        os.environ["REPRO_CACHE_DIR"] = old
+    for name, value in old.items():
+        if value is None:
+            os.environ.pop(name, None)
+        else:
+            os.environ[name] = value
 
 
 @pytest.fixture(scope="session")

@@ -60,6 +60,24 @@ class TestSweep:
         assert out.count("zeus") == 2
 
 
+class TestHermetic:
+    def test_sweep_and_snapshot_run_leave_cwd_empty(self, capsys, monkeypatch, tmp_path):
+        """Nothing a sweep or a snapshotting run stores lands in the
+        working directory when the cache and snapshot dirs point away."""
+        from repro.core import snapshot
+
+        monkeypatch.chdir(tmp_path)
+        # --snapshot-interval exports the knob; restore it afterwards.
+        monkeypatch.setenv(snapshot.ENV_INTERVAL, "")
+        code, _out = run_cli(
+            capsys, "sweep", "--workloads", "zeus", "--configs", "base,compr", *SMALL
+        )
+        assert code == 0
+        code, _out = run_cli(capsys, "run", "zeus", "--snapshot-interval", "200", *SMALL)
+        assert code == 0
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestSchemes:
     def test_scheme_table(self, capsys):
         code, out = run_cli(capsys, "schemes", "oltp")

@@ -100,5 +100,5 @@ class TestRepoConsistency:
         readme = (REPO / "README.md").read_text()
         in_readme = set(re.findall(r"^\| `(REPRO_[A-Z_]+)`", readme, re.M))
         assert in_src == in_readme
-        assert len(in_src) == 28
+        assert len(in_src) == 27
         assert readers == {"repro/knobs.py"}

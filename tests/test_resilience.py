@@ -21,7 +21,6 @@ from repro import faults
 from repro.cli import main
 from repro.core import runner as runner_mod
 from repro.core import snapshot as snap
-from repro.core.checkpoint import SweepJournal
 from repro.core.diskcache import DiskCache
 from repro.core import diskcache as diskcache_mod
 from repro.core.experiment import clear_cache, run_point
@@ -120,11 +119,11 @@ class TestLostWorkers:
         monkeypatch.setenv("REPRO_FAULTS", "kill@2")
         finalized = []
         outcomes = ParallelRunner(jobs=2).run_points(
-            _points(EIGHT), on_outcome=lambda i, o: finalized.append(i)
+            _points(EIGHT), progress=lambda done, total: finalized.append(done)
         )
         assert len(outcomes) == len(EIGHT)
         assert not any(isinstance(o, PointError) for o in outcomes)
-        assert sorted(finalized) == list(range(len(EIGHT)))  # once each, no dupes
+        assert finalized == list(range(1, len(EIGHT) + 1))  # once each, no dupes
         assert [result_fingerprint(o) for o in outcomes] == _expected(EIGHT)
         records = read_records(tele)
         sweep_record = [r for r in records if r["kind"] == "sweep"][-1]
@@ -290,17 +289,21 @@ class TestProgressIsolation:
 
 
 class TestKillAndResume:
+    """A sweep checkpoints into the disk cache as each point finishes;
+    rerun with ``use_cache=True`` (``repro sweep --resume``) it serves the
+    stored points and simulates only the rest."""
+
     def test_interrupt_then_resume_is_bit_identical(self, monkeypatch, tmp_path):
-        """The acceptance centerpiece: kill a journaled sweep partway,
-        resume it, and get clean-run fingerprints while re-simulating
-        only the missing points."""
-        monkeypatch.setenv("REPRO_CACHE", "0")
+        """The acceptance centerpiece: kill a sweep partway, resume it,
+        and get clean-run fingerprints while re-simulating only the
+        missing points."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "clean"))
         clear_cache()
         clean = _sweep().run(jobs=1, **FAST, use_cache=False)
         expected = {k: result_fingerprint(v) for k, v in clean.points.items()}
         assert len(expected) == 4
 
-        path = str(tmp_path / "journal.jsonl")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         seen = {"n": 0}
 
         def interrupt_after_two(done, total):
@@ -309,100 +312,124 @@ class TestKillAndResume:
                 raise KeyboardInterrupt
 
         clear_cache()
-        journal = SweepJournal(path, resume=False)
         with pytest.raises(KeyboardInterrupt):
-            _sweep().run(jobs=1, progress=interrupt_after_two, journal=journal,
-                         **FAST, use_cache=False)
-        journal.close()
+            _sweep().run(jobs=1, progress=interrupt_after_two, **FAST,
+                         use_cache=False)
+        assert DiskCache().stats()["entries"] == 2
 
-        resumed = SweepJournal(path, resume=True)
-        assert resumed.completed_count() == 2
         tele = str(tmp_path / "resume.jsonl")
         monkeypatch.setenv("REPRO_TELEMETRY", tele)
         clear_cache()
-        final = _sweep().run(jobs=1, journal=resumed, **FAST, use_cache=False)
-        resumed.close()
+        final = _sweep().run(jobs=1, **FAST, use_cache=True)
         assert {k: result_fingerprint(v) for k, v in final.points.items()} == expected
-        simulated = [r for r in read_records(tele) if r["kind"] == "point"]
-        assert len(simulated) == 2  # exactly the points the journal lacked
+        sources = [r["source"] for r in read_records(tele) if r["kind"] == "point"]
+        # Exactly the points the cache lacked were simulated.
+        assert sorted(sources) == ["disk", "disk", "sim", "sim"]
 
     def test_parallel_journal_resume_resimulates_nothing(
         self, monkeypatch, tmp_path
     ):
-        monkeypatch.setenv("REPRO_CACHE", "0")
-        path = str(tmp_path / "journal.jsonl")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         clear_cache()
-        journal = SweepJournal(path, resume=False)
-        first = _sweep().run(jobs=2, journal=journal, **FAST, use_cache=False)
-        journal.close()
+        first = _sweep().run(jobs=2, **FAST, use_cache=False)
         assert len(first.points) == 4 and not first.errors
+        assert DiskCache().stats()["entries"] == 4
         expected = {k: result_fingerprint(v) for k, v in first.points.items()}
 
-        resumed = SweepJournal(path, resume=True)
-        assert resumed.completed_count() == 4
         tele = str(tmp_path / "resume.jsonl")
         monkeypatch.setenv("REPRO_TELEMETRY", tele)
         clear_cache()
-        second = _sweep().run(jobs=2, journal=resumed, **FAST, use_cache=False)
-        resumed.close()
+        second = _sweep().run(jobs=2, **FAST, use_cache=True)
         assert {k: result_fingerprint(v) for k, v in second.points.items()} == expected
-        simulated = ([r for r in read_records(tele) if r["kind"] == "point"]
-                     if os.path.exists(tele) else [])
-        assert simulated == []  # full resume: zero re-simulation
+        sources = [r["source"] for r in read_records(tele) if r["kind"] == "point"]
+        assert sources == ["disk"] * 4  # full resume: zero re-simulation
+
+    def test_parallel_partial_resume_resimulates_only_missing(
+        self, monkeypatch, tmp_path
+    ):
+        """jobs=2: points whose worker keeps dying are not stored; the
+        resumed sweep simulates exactly those and serves the rest.
+
+        Point 0 kills its worker on all three attempts; each kill may
+        also cost the point in flight beside it an attempt, so at most
+        one more point can run out of retries."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "clean"))
+        clear_cache()
+        clean = _sweep().run(jobs=2, **FAST, use_cache=False)
+        expected = {k: result_fingerprint(v) for k, v in clean.points.items()}
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        monkeypatch.setenv("REPRO_FAULTS", "kill@0x99")
+        monkeypatch.setenv("REPRO_RETRIES", "2")
+        clear_cache()
+        partial = _sweep().run(jobs=2, **FAST, use_cache=False)
+        assert ("zeus", "base") in partial.errors
+        assert {e.kind for e in partial.errors.values()} == {"lost-worker"}
+        stored = DiskCache().stats()["entries"]
+        assert stored == 4 - len(partial.errors) >= 2
+
+        monkeypatch.delenv("REPRO_FAULTS")
+        faults.reset()
+        tele = str(tmp_path / "resume.jsonl")
+        monkeypatch.setenv("REPRO_TELEMETRY", tele)
+        clear_cache()
+        final = _sweep().run(jobs=2, **FAST, use_cache=True)
+        assert {k: result_fingerprint(v) for k, v in final.points.items()} == expected
+        sources = [r["source"] for r in read_records(tele) if r["kind"] == "point"]
+        assert sorted(sources) == ["disk"] * stored + ["sim"] * (4 - stored)
 
     def test_journaled_error_point_is_retried_on_resume(
         self, monkeypatch, tmp_path
     ):
-        monkeypatch.setenv("REPRO_CACHE", "0")
-        path = str(tmp_path / "journal.jsonl")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         monkeypatch.setenv("REPRO_FAULTS", "transient@0x99")
         monkeypatch.setenv("REPRO_RETRIES", "0")
         clear_cache()
-        journal = SweepJournal(path, resume=False)
         sweep = (Sweep().dimension("workload", ["zeus", "jbb"])
                  .dimension("key", ["base"]))
-        partial = sweep.run(jobs=2, journal=journal, **FAST, use_cache=False)
-        journal.close()
+        partial = sweep.run(jobs=2, **FAST, use_cache=False)
         assert len(partial.errors) == 1 and len(partial.points) == 1
+        assert DiskCache().stats()["entries"] == 1  # the error is not "done"
 
         monkeypatch.delenv("REPRO_FAULTS")
         faults.reset()
-        resumed = SweepJournal(path, resume=True)
-        assert resumed.completed_count() == 1  # the error record is not "done"
+        tele = str(tmp_path / "resume.jsonl")
+        monkeypatch.setenv("REPRO_TELEMETRY", tele)
         clear_cache()
         sweep2 = (Sweep().dimension("workload", ["zeus", "jbb"])
                   .dimension("key", ["base"]))
-        final = sweep2.run(jobs=2, journal=resumed, **FAST, use_cache=False)
-        resumed.close()
+        final = sweep2.run(jobs=2, **FAST, use_cache=True)
         assert len(final.points) == 2 and not final.errors
+        sources = {r["workload"]: r["source"]
+                   for r in read_records(tele) if r["kind"] == "point"}
+        assert sources == {"zeus": "sim", "jbb": "disk"}
 
     def test_truncated_points_are_not_journaled(self, monkeypatch, tmp_path):
-        """A guard-truncated point is partial: the journal must not serve
+        """A guard-truncated point is partial: the cache must not serve
         it as done, so --resume continues it from its snapshot."""
-        monkeypatch.setenv("REPRO_CACHE", "0")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         monkeypatch.setenv(snap.ENV_DIR, str(tmp_path / "snaps"))
         monkeypatch.setenv(snap.ENV_INTERVAL, "100")
         for var in (snap.ENV_RESUME, snap.ENV_DEADLINE, snap.ENV_MEM_LIMIT):
             monkeypatch.delenv(var, raising=False)
+        monkeypatch.setenv("REPRO_CACHE", "0")
         clear_cache()
         clean = _sweep().run(jobs=1, **FAST, use_cache=False)
         expected = {k: result_fingerprint(v) for k, v in clean.points.items()}
 
-        path = str(tmp_path / "journal.jsonl")
+        monkeypatch.delenv("REPRO_CACHE")
         monkeypatch.setenv(snap.ENV_DEADLINE, "0")
-        journal = SweepJournal(path, resume=False)
-        partial = _sweep().run(jobs=1, journal=journal, **FAST, use_cache=False)
-        journal.close()
+        clear_cache()
+        partial = _sweep().run(jobs=1, **FAST, use_cache=False)
         assert len(partial.points) == 4
         assert all(r.extra.get("truncated") for r in partial.points.values())
+        assert DiskCache().stats()["entries"] == 0
 
         monkeypatch.delenv(snap.ENV_DEADLINE)
-        resumed = SweepJournal(path, resume=True)
-        assert resumed.completed_count() == 0
         tele = str(tmp_path / "resume.jsonl")
         monkeypatch.setenv("REPRO_TELEMETRY", tele)
-        final = _sweep().run(jobs=1, journal=resumed, **FAST, use_cache=False)
-        resumed.close()
+        clear_cache()
+        final = _sweep().run(jobs=1, **FAST, use_cache=True)
         assert {k: result_fingerprint(v) for k, v in final.points.items()} == expected
         sources = [r["source"] for r in read_records(tele) if r["kind"] == "point"]
         assert sources == ["snapshot"] * 4
@@ -417,7 +444,7 @@ class TestCLIResilience:
             default_jobs()
         assert "REPRO_JOBS" in str(exc.value) and "'max'" in str(exc.value)
         rc = main(["sweep", "--workloads", "zeus", "--configs", "base,pref",
-                   "--jobs", "0", "--quiet", "--no-journal"])
+                   "--jobs", "0", "--quiet"])
         captured = capsys.readouterr()
         assert rc == 2
         assert "error: REPRO_JOBS must be an integer >= 1, got 'max'" in captured.err
@@ -447,8 +474,7 @@ class TestCLIResilience:
     def test_sweep_resume_round_trip_identical_stdout(
         self, monkeypatch, capsys, tmp_path
     ):
-        monkeypatch.setenv("REPRO_SWEEP_DIR", str(tmp_path / "sweeps"))
-        monkeypatch.setenv("REPRO_CACHE", "0")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         argv = ["sweep", "--workloads", "zeus", "--configs", "base,pref",
                 "--events", "200", "--warmup", "100", "--scale", "16",
                 "--cores", "2", "--jobs", "1", "--quiet"]
@@ -461,7 +487,5 @@ class TestCLIResilience:
         assert main(argv + ["--resume"]) == 0
         second = capsys.readouterr()
         assert second.out == first.out
-        assert "resuming: 2 completed point(s) loaded" in second.err
-        simulated = ([r for r in read_records(tele) if r["kind"] == "point"]
-                     if os.path.exists(tele) else [])
-        assert simulated == []
+        sources = [r["source"] for r in read_records(tele) if r["kind"] == "point"]
+        assert sources == ["disk", "disk"]  # nothing re-simulated

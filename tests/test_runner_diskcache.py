@@ -124,14 +124,17 @@ class TestDiskCache:
         assert k(base, "zeus", 0, 200, 100) != k(base, "oltp", 0, 200, 100)
         assert k(base, "zeus", 0, 200, 100) == k(base, "zeus", 0, 200, 100)
 
-    def test_key_is_pinned(self):
-        """Existing caches, sweep journals and snapshots are found by this
-        key; a config field change that re-keys them must be deliberate."""
+    def test_key_is_pinned(self, monkeypatch):
+        """Existing cache entries and snapshots are found by this key; a
+        config field change that re-keys them must be deliberate.  The
+        model version is fixed here: any change to model code re-keys by
+        design."""
         from repro.core.experiment import make_config
 
+        monkeypatch.setattr(diskcache, "model_version", lambda: "0" * 64)
         cfg = make_config("pref_compr", n_cores=8, scale=4)
         assert diskcache.point_key(cfg, "zeus", 0, 3000, 3000) == (
-            "09d379cbcf4a753467e14fcd27a644fa4c0e1d9381146b74244779ba90650403"
+            "11dafcc2eb98ccba3ffea179b8103500abab9be4bc7006323943e682f6ad3eac"
         )
 
 

@@ -297,6 +297,7 @@ class TestKillAndResumeCLI:
         src = str(Path(__file__).resolve().parents[1] / "src")
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
         env["REPRO_SNAPSHOT_DIR"] = str(tmp_path / "snaps")
+        env["REPRO_CACHE_DIR"] = str(tmp_path / "cache")
         for var in ("REPRO_FAULTS", "REPRO_DEADLINE",
                     "REPRO_MEM_LIMIT", "REPRO_RESUME_SNAPSHOT",
                     "REPRO_SNAPSHOT_INTERVAL", "REPRO_TELEMETRY"):
